@@ -1,10 +1,9 @@
 // splitmix64.hpp — the repository's one splitmix64 finalizer.
 //
-// Both the trigger-cache key mixer and the workload generator's random
-// stream rely on this exact constant/shift sequence: cache keys for their
-// collision distribution (asserted in tests/test_trigger_cache.cpp) and the
-// generator for its byte-identical-per-seed determinism contract.  Keep the
-// single definition here so the two can never drift apart.
+// The workload generator's random stream, the fault injector's stateless
+// draws and the runner's retry jitter all rely on this exact constant/shift
+// sequence — the generator for its byte-identical-per-seed determinism
+// contract.  Keep the single definition here so they can never drift apart.
 
 #pragma once
 

@@ -13,14 +13,13 @@ namespace plee::fault {
 
 namespace {
 
-constexpr std::array<const char*, 6> k_points = {
-    "synth.map", "ee.search",  "sim.fire",
-    "cache.lookup", "cache.save", "cache.load"};
+constexpr std::array<const char*, 3> k_points = {"synth.map", "ee.search",
+                                                 "sim.fire"};
 
 thread_local std::uint64_t t_scope = 0;
 
-/// The stateless fire decision shared by throwing, delaying and torn fates:
-/// a pure hash of (seed, point, scope, site) mapped to [0, 1).
+/// The stateless fire decision shared by throwing and delaying fates: a pure
+/// hash of (seed, point, scope, site) mapped to [0, 1).
 double stateless_draw(std::uint64_t seed, const char* point,
                       std::uint64_t site) {
     const std::uint64_t u = bf::splitmix64(
@@ -116,8 +115,6 @@ void injector::configure(const std::string& spec) {
                         config.cls = failure_class::transient;
                     } else if (kind == "permanent") {
                         config.cls = failure_class::permanent;
-                    } else if (kind == "torn") {
-                        config.torn = true;
                     } else if (kind.rfind("delay=", 0) == 0) {
                         config.delay_ms = std::strtod(kind.c_str() + 6, nullptr);
                         if (config.delay_ms <= 0.0) {
@@ -152,9 +149,7 @@ void injector::check_slow(const char* point, std::uint64_t site) {
         config = it->second;
         seed = seed_;
     }
-    // Torn configs never throw or delay: the corruption happens in the I/O
-    // path via torn_offset(), not at the check.
-    if (config.probability <= 0.0 || config.torn) return;
+    if (config.probability <= 0.0) return;
     // Stateless decision: a pure hash of (seed, point, scope, site) — no RNG
     // stream, so outcomes are independent of thread interleaving.
     const double draw = stateless_draw(seed, point, site);
@@ -173,34 +168,6 @@ void injector::check_slow(const char* point, std::uint64_t site) {
         return;
     }
     throw injected_fault(point, site, config.cls);
-}
-
-std::size_t injector::torn_offset(const char* point, std::uint64_t site,
-                                  std::size_t size) {
-    if (!enabled() || size == 0) return size;
-    point_config config;
-    std::uint64_t seed;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it = points_.find(point);
-        if (it == points_.end()) return size;
-        config = it->second;
-        seed = seed_;
-    }
-    if (!config.torn || config.probability <= 0.0) return size;
-    if (stateless_draw(seed, point, site) >= config.probability) return size;
-    // A second independent hash picks where the tear lands, so the offset
-    // is seeded but uncorrelated with the fire decision.
-    const std::uint64_t u = bf::splitmix64(
-        bf::splitmix64(seed ^ hash(point) ^ t_scope) ^ site ^ 0x7063u);
-    const std::size_t offset = static_cast<std::size_t>(u % size);
-    static obs::counter& injected =
-        obs::registry::global().get_counter("fault.injected");
-    injected.add();
-    if (obs::flight_recorder* recorder = obs::current_recorder()) {
-        recorder->record_note("fault.torn", point, offset);
-    }
-    return offset;
 }
 
 }  // namespace plee::fault

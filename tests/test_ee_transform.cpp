@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <string>
@@ -13,6 +14,7 @@
 #include "bench_circuits/itc99.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "synth/rtl.hpp"
+#include "workload/workload.hpp"
 
 namespace plee::ee {
 namespace {
@@ -209,14 +211,50 @@ TEST(EeTransform, DefaultThreadCountMatchesSequential) {
     expect_identical_netlists(autop.pl, seq.pl);
 }
 
-TEST(EeTransform, CacheCountersAreReported) {
-    pl::map_result mapped = pl::map_to_phased_logic(ripple_adder());
-    const ee_stats stats = apply_early_evaluation(mapped.pl);
-    // The adder reuses the same full-adder LUTs: the canonical cache must
-    // have both compulsory misses and reuse hits.
-    EXPECT_GT(stats.cache_misses, 0u);
-    EXPECT_GT(stats.cache_hits, 0u);
-    EXPECT_GT(stats.cache_entries, 0u);
+TEST(EeTransform, WideMasterParallelPassIsDeterministicAndOracleExact) {
+    // LUT6/LUT8 netlists: almost every master is a distinct wide function.
+    // The search legs share nothing but the work counter, so 1 and 4
+    // threads must apply the same triggers, and each applied trigger must be
+    // the scalar oracle's exact trigger for its master and support.
+    for (const wl::scenario kind :
+         {wl::scenario::lut6_dag, wl::scenario::lut8_datapath}) {
+        for (const std::uint64_t seed : {3u, 11u}) {
+            const nl::netlist n =
+                wl::generate(wl::scenario_params(kind, 120, seed));
+            const std::string label = std::string(wl::to_string(kind)) +
+                                      " seed=" + std::to_string(seed);
+
+            pl::map_result seq = pl::map_to_phased_logic(n);
+            ee_options seq_opts;
+            seq_opts.num_threads = 1;
+            const ee_stats seq_stats = apply_early_evaluation(seq.pl, seq_opts);
+            ASSERT_GT(seq_stats.triggers_added, 0u) << label;
+
+            pl::map_result par = pl::map_to_phased_logic(n);
+            ee_options par_opts;
+            par_opts.num_threads = 4;
+            const ee_stats par_stats = apply_early_evaluation(par.pl, par_opts);
+
+            ASSERT_EQ(par_stats.applied.size(), seq_stats.applied.size()) << label;
+            int widest = 0;
+            for (std::size_t i = 0; i < seq_stats.applied.size(); ++i) {
+                const applied_trigger& s = seq_stats.applied[i];
+                const applied_trigger& p = par_stats.applied[i];
+                ASSERT_EQ(p.master, s.master) << label;
+                ASSERT_EQ(p.candidate.support, s.candidate.support) << label;
+                ASSERT_EQ(p.candidate.function, s.candidate.function) << label;
+
+                const bf::truth_table& master = seq.pl.gate(s.master).function;
+                widest = std::max(widest, master.num_vars());
+                ASSERT_EQ(s.candidate.function,
+                          scalar::exact_trigger_function(master, s.candidate.support))
+                    << label << " master=" << s.master;
+            }
+            // The sweep really exercised wide masters, not just LUT4s.
+            EXPECT_GT(widest, 4) << label;
+            expect_identical_netlists(par.pl, seq.pl);
+        }
+    }
 }
 
 TEST(EeTransform, IdempotencePerMasterIsEnforced) {

@@ -60,7 +60,7 @@ TEST_F(FaultInjection, InertWhenUnconfigured) {
     inj.clear();
     EXPECT_FALSE(inj.enabled());
     EXPECT_NO_THROW(inj.check("sim.fire", 0));
-    EXPECT_NO_THROW(inj.check("cache.lookup", 12345));
+    EXPECT_NO_THROW(inj.check("ee.search", 12345));
 }
 
 TEST_F(FaultInjection, SpecParsing) {
@@ -88,40 +88,26 @@ TEST_F(FaultInjection, SpecParsing) {
     EXPECT_FALSE(inj.enabled());
 }
 
-TEST_F(FaultInjection, SnapshotPointsAndTornFateParse) {
+TEST_F(FaultInjection, RetiredCachePointsAndTornFateAreRejected) {
+    // The trigger-memo points and the ':torn' fate are gone with the memo.
+    // A stale spec must fail loudly (plee_fleet turns this into a usage
+    // error), not arm nothing silently.
     fault::injector& inj = fault::injector::instance();
-    EXPECT_TRUE(fault::injector::known_point("cache.save"));
-    EXPECT_TRUE(fault::injector::known_point("cache.load"));
-
-    inj.configure("seed=3;cache.save=1:torn;cache.load=0.5:torn");
+    for (const char* point : {"cache.lookup", "cache.save", "cache.load"}) {
+        EXPECT_FALSE(fault::injector::known_point(point)) << point;
+    }
+    inj.configure("seed=3;ee.search=0.5");
+    try {
+        inj.configure("cache.save=1:torn");
+        FAIL() << "stale cache.save spec was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown point 'cache.save'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(inj.configure("ee.search=1:torn"), std::invalid_argument);
+    // The rejected specs armed nothing: the previous config survives.
     EXPECT_TRUE(inj.enabled());
-    // Torn is a data fate, not a failure fate: the check API never throws
-    // for a torn-armed point.
-    EXPECT_NO_THROW(inj.check("cache.save", 0));
-    EXPECT_NO_THROW(inj.check("cache.load", 0));
-
-    // Throwing fates on the snapshot points still work.
-    inj.configure("seed=3;cache.save=1:permanent");
-    EXPECT_THROW(inj.check("cache.save", 0), fault::injected_fault);
-}
-
-TEST_F(FaultInjection, TornOffsetIsSeededDeterministicAndBounded) {
-    fault::injector& inj = fault::injector::instance();
-
-    // Unarmed (or armed without :torn): every byte is kept.
-    EXPECT_EQ(inj.torn_offset("cache.save", 1, 1000), 1000u);
-    inj.configure("seed=5;cache.save=1:permanent");
-    EXPECT_EQ(inj.torn_offset("cache.save", 1, 1000), 1000u);
-
-    inj.configure("seed=5;cache.save=1:torn");
-    const std::size_t a = inj.torn_offset("cache.save", 1, 1000);
-    EXPECT_LT(a, 1000u);
-    EXPECT_EQ(inj.torn_offset("cache.save", 1, 1000), a);  // stateless
-    // Different sites and seeds land elsewhere (deterministically).
-    const std::size_t b = inj.torn_offset("cache.save", 2, 1000);
-    inj.configure("seed=6;cache.save=1:torn");
-    const std::size_t c = inj.torn_offset("cache.save", 1, 1000);
-    EXPECT_TRUE(a != b || a != c);
 }
 
 TEST_F(FaultInjection, DecisionsAreStatelessScopedAndSeeded) {

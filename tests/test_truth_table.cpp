@@ -360,5 +360,25 @@ TEST(TruthTableKernels, ExpandIsVacuous) {
     }
 }
 
+TEST(TruthTableKernels, NegateInputsMatchesPerMintermDefinition) {
+    std::uint64_t state = 5;
+    const auto lcg = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state;
+    };
+    for (int trial = 0; trial < 200; ++trial) {
+        const int n = 1 + static_cast<int>(lcg() % 6);
+        const std::uint64_t full =
+            n == 6 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (1u << n)) - 1);
+        const truth_table f(n, lcg() & full);
+        const std::uint32_t mask = static_cast<std::uint32_t>(lcg()) & ((1u << n) - 1);
+        const truth_table g = f.negate_inputs(mask);
+        for (std::uint32_t m = 0; m < f.num_minterms(); ++m) {
+            ASSERT_EQ(g.eval(m), f.eval(m ^ mask));
+        }
+    }
+    EXPECT_THROW(truth_table(2, 0x6).negate_inputs(0x4), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace plee::bf

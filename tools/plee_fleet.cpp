@@ -20,8 +20,6 @@
 //   --delays D     delay model: default | tie (all components 1.0 — the
 //                  split-storm stressor: every EE race is a tie)
 //   --no-check     skip the per-firing EE invariant check in the simulator
-//   --no-share     per-circuit private trigger caches instead of the
-//                  fleet-shared concurrent cache
 //   --json PATH    write the fleet result (summary + rows) as JSON
 //
 // Fault tolerance (see src/runner/README.md for the full semantics):
@@ -30,20 +28,10 @@
 //   --fail-fast            abort the fleet on the first job failure
 //   --inject SPEC          arm the deterministic fault injector, e.g.
 //                          'seed=42;ee.search=0.5;sim.fire=1:delay=5'.
-//                          Points: synth.map | ee.search | sim.fire |
-//                          cache.lookup | cache.save | cache.load.  Fates:
-//                          PROB (throw transient), :transient, :permanent,
-//                          :delay=MS, and :torn (cache.save/cache.load only:
-//                          truncate the snapshot I/O at a seeded offset).
-//                          An unknown point name is a usage error (exit 1).
-//
-// Cache persistence (see src/persist/snapshot.hpp and docs/schemas.md):
-//   --cache-load PATH      merge a trigger-cache snapshot into the shared
-//                          cache before fan-out; corrupt/missing snapshots
-//                          degrade to salvage or cold start, never an error
-//   --cache-save PATH      atomically save the shared cache after the join
-//   --cache-verify MODE    oracle re-check of loaded triggers:
-//                          off | sampled | full              (default full)
+//                          Points: synth.map | ee.search | sim.fire.
+//                          Fates: PROB (throw transient), :transient,
+//                          :permanent, :delay=MS.  An unknown point name is
+//                          a usage error (exit 1).
 //
 // Telemetry (see src/obs/README.md and docs/schemas.md):
 //   --metrics-out PATH     write the process metrics registry as Prometheus
@@ -63,7 +51,7 @@
 // SIGINT/SIGTERM: the first signal trips a fleet-wide cancel token —
 // in-flight jobs stop at their next cooperative poll, queued jobs never
 // start — and the partial results plus every requested sink (--json,
-// --metrics-out, --trace-out, --cache-save) are still flushed through the
+// --metrics-out, --trace-out) are still flushed through the
 // atomic-rename path before exiting 2.  A second signal hard-exits
 // immediately (status 130).
 
@@ -81,9 +69,9 @@
 #include "fault/injector.hpp"
 #include "obs/registry.hpp"
 #include "obs/sink.hpp"
-#include "persist/snapshot.hpp"
 #include "report/json.hpp"
 #include "report/table.hpp"
+#include "rt/atomic_write.hpp"
 #include "rt/cancel.hpp"
 #include "runner/runner.hpp"
 #include "sim/measure.hpp"
@@ -100,18 +88,14 @@ void usage(const char* argv0) {
         "       [--gates G] [--seed S] [--threads N] [--vectors V]\n"
         "       [--queue calendar|heap] [--lanes 1|64] "
         "[--lane-policy vector|fork|replay]\n"
-        "       [--delays default|tie] [--no-check] [--no-share]\n"
+        "       [--delays default|tie] [--no-check]\n"
         "       [--job-deadline-ms MS] [--max-retries N] [--fail-fast]\n"
         "       [--inject SPEC] [--json PATH]\n"
-        "       [--cache-load PATH] [--cache-save PATH] "
-        "[--cache-verify off|sampled|full]\n"
         "       [--metrics-out PATH] [--trace-out PATH] [--no-telemetry]\n"
         "\n"
-        "  --inject points: synth.map ee.search sim.fire cache.lookup "
-        "cache.save cache.load\n"
-        "  --inject fates:  PROB | PROB:transient | PROB:permanent |\n"
-        "                   PROB:delay=MS | PROB:torn (cache.save/cache.load "
-        "only)\n",
+        "  --inject points: synth.map ee.search sim.fire\n"
+        "  --inject fates:  PROB | PROB:transient | PROB:permanent | "
+        "PROB:delay=MS\n",
         argv0);
 }
 
@@ -131,12 +115,6 @@ extern "C" void on_signal(int) {
 
 bool interrupted() {
     return g_signal_count.load(std::memory_order_relaxed) > 0;
-}
-
-/// Every sink goes through the atomic temp+fsync+rename path so an
-/// interrupt (or crash) never leaves a half-written artifact.
-void write_text_file(const std::string& path, const std::string& text) {
-    persist::atomic_write_text(path, text);
 }
 
 /// The --trace-out JSONL stream: one "job" record per job, one trailing
@@ -191,7 +169,6 @@ int main(int argc, char** argv) {
     bool seed_given = false;
     unsigned threads = 0;
     std::size_t vectors = 20;
-    bool share = true;
     sim::queue_kind queue = sim::sim_options{}.queue;
     sim::lane_split_policy lane_policy = sim::sim_options{}.lane_policy;
     bool tie_delays = false;
@@ -205,9 +182,6 @@ int main(int argc, char** argv) {
     unsigned max_retries = 0;
     bool fail_fast = false;
     std::string inject_spec;
-    std::string cache_load_path;
-    std::string cache_save_path;
-    persist::verify_mode cache_verify = persist::verify_mode::full;
     for (int i = 1; i < argc; ++i) {
         auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
         if (std::strcmp(argv[i], "--circuits") == 0) {
@@ -256,8 +230,6 @@ int main(int argc, char** argv) {
             else if (std::strcmp(v, "default") != 0) { usage(argv[0]); return 1; }
         } else if (std::strcmp(argv[i], "--no-check") == 0) {
             check_early_value = false;
-        } else if (std::strcmp(argv[i], "--no-share") == 0) {
-            share = false;
         } else if (std::strcmp(argv[i], "--job-deadline-ms") == 0) {
             if (const char* v = next()) job_deadline_ms = std::strtod(v, nullptr);
             else { usage(argv[0]); return 1; }
@@ -268,19 +240,6 @@ int main(int argc, char** argv) {
             fail_fast = true;
         } else if (std::strcmp(argv[i], "--inject") == 0) {
             if (const char* v = next()) inject_spec = v; else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--cache-load") == 0) {
-            if (const char* v = next()) cache_load_path = v; else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--cache-save") == 0) {
-            if (const char* v = next()) cache_save_path = v; else { usage(argv[0]); return 1; }
-        } else if (std::strcmp(argv[i], "--cache-verify") == 0) {
-            const char* v = next();
-            if (v == nullptr) { usage(argv[0]); return 1; }
-            try {
-                cache_verify = persist::parse_verify_mode(v);
-            } catch (const std::invalid_argument&) {
-                usage(argv[0]);
-                return 1;
-            }
         } else if (std::strcmp(argv[i], "--json") == 0) {
             if (const char* v = next()) json_path = v; else { usage(argv[0]); return 1; }
         } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
@@ -355,7 +314,6 @@ int main(int argc, char** argv) {
 
         runner::fleet_options opts;
         opts.num_threads = threads;
-        opts.share_trigger_cache = share;
         opts.job_deadline_ms = job_deadline_ms;
         opts.max_retries = max_retries;
         opts.fail_fast = fail_fast;
@@ -371,9 +329,6 @@ int main(int argc, char** argv) {
         opts.experiment.measure.sim.check_early_value = check_early_value;
         opts.telemetry = telemetry;
         if (seed_given) opts.experiment.measure.seed = seed;
-        opts.cache_load_path = cache_load_path;
-        opts.cache_save_path = cache_save_path;
-        opts.cache_verify = cache_verify;
         opts.fleet_cancel = &g_interrupt;
         const runner::fleet_result fleet = runner::run_fleet(jobs, opts);
 
@@ -414,25 +369,6 @@ int main(int argc, char** argv) {
                         "fleet's measurements\n",
                         fleet.lockstep_fraction);
         }
-        std::printf("trigger cache (%s): %.1f%% hit rate, %llu hits / %llu "
-                    "misses, %zu entries\n",
-                    share ? "fleet-shared" : "per-circuit",
-                    100.0 * fleet.cache_hit_rate(),
-                    static_cast<unsigned long long>(fleet.cache_hits),
-                    static_cast<unsigned long long>(fleet.cache_misses),
-                    fleet.cache_entries);
-        if (!fleet.cache_load_outcome.empty()) {
-            std::printf("cache snapshot load (%s): %llu loaded (%llu from "
-                        "salvage), %llu rejected\n",
-                        fleet.cache_load_outcome.c_str(),
-                        static_cast<unsigned long long>(fleet.cache_loaded),
-                        static_cast<unsigned long long>(fleet.cache_salvaged),
-                        static_cast<unsigned long long>(fleet.cache_rejected));
-        }
-        if (!fleet.cache_save_error.empty()) {
-            std::fprintf(stderr, "plee_fleet: cache save failed: %s\n",
-                         fleet.cache_save_error.c_str());
-        }
 
         if (!fleet.delay_hist_no_ee.empty() && !fleet.delay_hist_ee.empty()) {
             // The paper's comparison as a distribution, not a mean: fleet-wide
@@ -452,17 +388,17 @@ int main(int argc, char** argv) {
         if (!json_path.empty()) {
             report::json root = runner::to_json(fleet);
             root.set("bench", report::json::str("plee_fleet"));
-            write_text_file(json_path, root.dump());
+            atomic_write_text(json_path, root.dump());
             std::printf("wrote %s\n", json_path.c_str());
         }
         if (!metrics_path.empty()) {
-            write_text_file(
+            atomic_write_text(
                 metrics_path,
                 obs::to_prometheus(obs::registry::global().snapshot()));
             std::printf("wrote %s\n", metrics_path.c_str());
         }
         if (!trace_path.empty()) {
-            write_text_file(trace_path, trace_jsonl(fleet));
+            atomic_write_text(trace_path, trace_jsonl(fleet));
             std::printf("wrote %s\n", trace_path.c_str());
         }
         if (interrupted()) {
