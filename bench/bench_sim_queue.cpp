@@ -1,35 +1,33 @@
-// bench_sim_queue — events/s of the two pl_simulator event-queue engines.
+// bench_sim_queue — throughput of the pl_simulator engines.
 //
 // The measure phase is the dominant per-circuit cost of a fleet job, so this
 // bench times the simulator alone: a fleet mix of generated circuits (all
 // four scenario presets round-robin) is mapped, EE-transformed, and then
-// simulated repeatedly under both queue engines with identical stimulus.
-// Before any timing, every circuit is cross-checked — wave records, stats
-// and traces must be bit-identical between the engines (non-zero exit
+// simulated repeatedly under both scalar engines with identical stimulus:
+// the binary-heap event loop (the oracle) and the wave sweep that
+// queue_kind::calendar selects for run().  Before any timing, every circuit
+// is cross-checked — wave records and stats must be bit-identical between
+// the engines, and traces equal in (time, edge) order (non-zero exit
 // otherwise), so the throughput numbers compare two implementations of the
 // same computation.
 //
 // Reported per scenario and for the whole mix: events/s under the heap and
-// calendar engines and the speedup.  The mix row can fan circuits across
-// worker threads (--threads) to mirror how the fleet runner drives shards.
+// the sweep, and the speedup.  JSON keys name engines by their queue_kind
+// ("heap_*", "calendar_*"), and calendar is the sweep for these scalar runs.  The mix row can fan circuits across worker
+// threads (--threads) to mirror how the fleet runner drives shards.
 //
-// The `lanes` row measures the lane-parallel mode on the same mix.  Before
-// timing, run_lanes under the default vector policy is cross-checked
-// against 64 serial per-vector runs on every circuit (bit-identical
-// outputs, times, delays and EE counters, non-zero exit on mismatch), and
-// the three divergence policies — vector, fork-at-split, and the
-// replay-from-t0 baseline (policy=replay, grouping off) — are cross-checked
-// against each other the same way.  Then an interleaved A/B times the
-// synchronous measure path — the lanes=1 golden loop (set/eval/read/latch
-// per vector) against the 64-lane word-parallel loop — plus the PL event
-// engine serial vs run_lanes under all three policies, reporting vectors/s
-// each way and the fork arm's achieved lockstep fraction (the vector
-// policy's is 1.0 by construction: it never splits a pass).
+// The `itc99-seq` row is the paper's Table 3 run: ITC99 b01-b15,
+// EE-transformed, --itc-vectors sequential vectors each.  After the same
+// bit-identity gate, an interleaved A/B runs each circuit's measurement
+// (simulator construction plus run) on the heap and then on the sweep,
+// back to back, and reports the median over repetitions of ms per
+// measurement and events/s for each engine.
 //
 //   --circuits N       netlists in the mix                   (default 12)
 //   --gates G          LUTs per netlist                      (default 150)
 //   --vectors V        random vectors per run                (default 60)
 //   --lane-vectors LV  vectors for the sync lanes A/B        (default 8192)
+//   --itc-vectors IV   vectors per ITC99 measurement         (default 100)
 //   --seed S           generator + stimulus seed             (default 1)
 //   --repeat R         timed repetitions per engine          (default 3)
 //   --threads T        worker threads for the fleet-mix row  (default 1)
@@ -46,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
 #include "netlist/sync_sim.hpp"
 #include "obs/histogram.hpp"
@@ -77,45 +76,75 @@ struct engine_output {
     std::vector<sim::trace_event> trace;
 };
 
-engine_output run_once(const circuit& c, sim::queue_kind queue,
-                       bool collect_trace) {
+engine_output run_once(const pl::pl_netlist& pl,
+                       const std::vector<std::vector<bool>>& vectors,
+                       sim::queue_kind queue, bool collect_trace) {
     sim::sim_options opts;
     opts.queue = queue;
     opts.collect_trace = collect_trace;
-    sim::pl_simulator simulator(c.pl, opts);
+    sim::pl_simulator simulator(pl, opts);
     engine_output out;
-    out.waves = simulator.run(c.vectors);
+    out.waves = simulator.run(vectors);
     out.stats = simulator.stats();
     out.trace = simulator.trace();
     return out;
 }
 
-bool outputs_identical(const engine_output& a, const engine_output& b) {
-    if (a.waves.size() != b.waves.size()) return false;
-    for (std::size_t i = 0; i < a.waves.size(); ++i) {
-        const sim::wave_record& x = a.waves[i];
-        const sim::wave_record& y = b.waves[i];
+/// Wave records and stats exactly equal; traces equal once the heap's pop
+/// order is put in the sweep's (time, edge) order.
+bool outputs_identical(const engine_output& heap, const engine_output& sweep) {
+    if (heap.waves.size() != sweep.waves.size()) return false;
+    for (std::size_t i = 0; i < heap.waves.size(); ++i) {
+        const sim::wave_record& x = heap.waves[i];
+        const sim::wave_record& y = sweep.waves[i];
         if (x.outputs != y.outputs || x.release_time != y.release_time ||
             x.input_stable != y.input_stable ||
             x.output_stable != y.output_stable) {
             return false;
         }
     }
-    if (a.stats.events != b.stats.events || a.stats.firings != b.stats.firings ||
-        a.stats.ee_hits != b.stats.ee_hits ||
-        a.stats.ee_misses != b.stats.ee_misses ||
-        a.stats.ee_wins != b.stats.ee_wins) {
+    if (heap.stats.events != sweep.stats.events ||
+        heap.stats.firings != sweep.stats.firings ||
+        heap.stats.ee_hits != sweep.stats.ee_hits ||
+        heap.stats.ee_misses != sweep.stats.ee_misses ||
+        heap.stats.ee_wins != sweep.stats.ee_wins) {
         return false;
     }
-    if (a.trace.size() != b.trace.size()) return false;
-    for (std::size_t i = 0; i < a.trace.size(); ++i) {
-        if (a.trace[i].time != b.trace[i].time ||
-            a.trace[i].edge != b.trace[i].edge ||
-            a.trace[i].value != b.trace[i].value) {
+    std::vector<sim::trace_event> ordered = heap.trace;
+    std::stable_sort(ordered.begin(), ordered.end(), sim::trace_order);
+    if (ordered.size() != sweep.trace.size()) return false;
+    for (std::size_t i = 0; i < ordered.size(); ++i) {
+        if (ordered[i].time != sweep.trace[i].time ||
+            ordered[i].edge != sweep.trace[i].edge ||
+            ordered[i].value != sweep.trace[i].value) {
             return false;
         }
     }
     return true;
+}
+
+/// One measurement as the pipeline makes it: build the simulator and run
+/// every vector.  Construction is inside the clock because the sweep builds
+/// its firing schedule and safety check on the first run.
+double measurement_ms(const pl::pl_netlist& pl,
+                      const std::vector<std::vector<bool>>& vectors,
+                      sim::queue_kind queue, std::uint64_t* events) {
+    const wall_timer timer;
+    sim::sim_options opts;
+    opts.queue = queue;
+    sim::pl_simulator simulator(pl, opts);
+    simulator.run(vectors);
+    const double ms = timer.elapsed_ms();
+    *events = simulator.stats().events;
+    return ms;
+}
+
+double median(std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    const std::size_t n = values.size();
+    return n == 0 ? 0.0
+                  : n % 2 == 1 ? values[n / 2]
+                               : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 /// Wall ms of the simulation runs themselves for every circuit in `group`,
@@ -382,6 +411,7 @@ int main(int argc, char** argv) {
     std::size_t gates = 150;
     std::size_t vectors = 60;
     std::size_t lane_vectors = 8192;
+    std::size_t itc_vectors = 100;
     std::uint64_t seed = 1;
     int repeat = 3;
     unsigned threads = 1;
@@ -396,6 +426,8 @@ int main(int argc, char** argv) {
             if (const char* v = next()) vectors = std::strtoull(v, nullptr, 10);
         } else if (std::strcmp(argv[i], "--lane-vectors") == 0) {
             if (const char* v = next()) lane_vectors = std::strtoull(v, nullptr, 10);
+        } else if (std::strcmp(argv[i], "--itc-vectors") == 0) {
+            if (const char* v = next()) itc_vectors = std::strtoull(v, nullptr, 10);
         } else if (std::strcmp(argv[i], "--seed") == 0) {
             if (const char* v = next()) seed = std::strtoull(v, nullptr, 10);
         } else if (std::strcmp(argv[i], "--repeat") == 0) {
@@ -408,7 +440,8 @@ int main(int argc, char** argv) {
         } else {
             std::fprintf(stderr,
                          "usage: %s [--circuits N] [--gates G] [--vectors V] "
-                         "[--lane-vectors LV] [--seed S] [--repeat R] "
+                         "[--lane-vectors LV] [--itc-vectors IV] [--seed S] "
+                         "[--repeat R] "
                          "[--threads T] [--json PATH]\n",
                          argv[0]);
             return 2;
@@ -440,9 +473,10 @@ int main(int argc, char** argv) {
         // everything (trace collection on, so trace contents are covered).
         for (const circuit& c : mix) {
             const engine_output heap =
-                run_once(c, sim::queue_kind::binary_heap, true);
-            const engine_output cal = run_once(c, sim::queue_kind::calendar, true);
-            if (!outputs_identical(heap, cal)) {
+                run_once(c.pl, c.vectors, sim::queue_kind::binary_heap, true);
+            const engine_output sweep =
+                run_once(c.pl, c.vectors, sim::queue_kind::calendar, true);
+            if (!outputs_identical(heap, sweep)) {
                 std::fprintf(stderr,
                              "FAIL: engines disagree on %s (gates=%zu seed=%llu)\n",
                              c.scenario.c_str(), gates,
@@ -461,7 +495,7 @@ int main(int argc, char** argv) {
         }
 
         report::text_table t(
-            {"Workload", "Heap ev/s", "Calendar ev/s", "Speedup"});
+            {"Workload", "Heap ev/s", "Sweep ev/s", "Speedup"});
         report::json rows = report::json::array();
         const auto add_row = [&](const std::string& name,
                                  const std::vector<const circuit*>& group,
@@ -496,6 +530,76 @@ int main(int argc, char** argv) {
                     "(fleet-mix at %u threads)\n\n%s\n",
                     circuits, gates, vectors, repeat, threads,
                     t.to_string().c_str());
+
+        // --- itc99-seq row: the paper's Table 3 run -----------------------
+        struct itc_circuit {
+            std::string id;
+            pl::pl_netlist pl;
+            std::vector<std::vector<bool>> vectors;
+        };
+        std::vector<itc_circuit> itc;
+        for (const bench::benchmark_info& info : bench::itc99_suite()) {
+            pl::map_result mapped = pl::map_to_phased_logic(info.build());
+            ee::apply_early_evaluation(mapped.pl);
+            itc_circuit c{info.id, std::move(mapped.pl), {}};
+            c.vectors =
+                sim::random_vectors(itc_vectors, c.pl.sources().size(), seed);
+            if (!outputs_identical(
+                    run_once(c.pl, c.vectors, sim::queue_kind::binary_heap, true),
+                    run_once(c.pl, c.vectors, sim::queue_kind::calendar, true))) {
+                std::fprintf(stderr, "FAIL: engines disagree on %s (seed=%llu)\n",
+                             c.id.c_str(), static_cast<unsigned long long>(seed));
+                return 1;
+            }
+            itc.push_back(std::move(c));
+        }
+        std::vector<double> itc_heap_ms, itc_sweep_ms;
+        std::uint64_t itc_events = 0;
+        for (int r = 0; r < repeat; ++r) {
+            double heap_ms = 0.0, sweep_ms = 0.0;
+            itc_events = 0;
+            for (const itc_circuit& c : itc) {
+                std::uint64_t events = 0;
+                heap_ms += measurement_ms(c.pl, c.vectors,
+                                          sim::queue_kind::binary_heap, &events);
+                sweep_ms += measurement_ms(c.pl, c.vectors,
+                                           sim::queue_kind::calendar, &events);
+                itc_events += events;
+            }
+            itc_heap_ms.push_back(heap_ms);
+            itc_sweep_ms.push_back(sweep_ms);
+        }
+        const double itc_heap = median(itc_heap_ms);
+        const double itc_sweep = median(itc_sweep_ms);
+        const auto per_s = [](std::uint64_t events, double ms) {
+            return ms > 0.0 ? 1000.0 * static_cast<double>(events) / ms : 0.0;
+        };
+        const double itc_speedup = itc_sweep > 0.0 ? itc_heap / itc_sweep : 0.0;
+        const double measurements = static_cast<double>(itc.size());
+        std::printf("itc99-seq row (b01-b15 EE'd, %zu vectors, median of %d "
+                    "interleaved runs): heap %.2f ms/measurement %.0f ev/s, "
+                    "sweep %.2f ms/measurement %.0f ev/s = %.1fx\n\n",
+                    itc_vectors, repeat, itc_heap / measurements,
+                    per_s(itc_events, itc_heap), itc_sweep / measurements,
+                    per_s(itc_events, itc_sweep), itc_speedup);
+        {
+            report::json j = report::json::object();
+            j.set("workload", report::json::str("itc99-seq"));
+            j.set("circuits", report::json::number(itc.size()));
+            j.set("vectors", report::json::number(itc_vectors));
+            j.set("events_per_run",
+                  report::json::number(static_cast<std::int64_t>(itc_events)));
+            j.set("heap_ms_per_measurement",
+                  report::json::number(itc_heap / measurements));
+            j.set("calendar_ms_per_measurement",
+                  report::json::number(itc_sweep / measurements));
+            j.set("heap_events_per_s",
+                  report::json::number(per_s(itc_events, itc_heap)));
+            j.set("calendar_events_per_s",
+                  report::json::number(per_s(itc_events, itc_sweep)));
+            j.set("speedup", report::json::number(itc_speedup));
+            rows.push(std::move(j));
+        }
 
         // --- Lanes row: 64-vector word-parallel mode on the same mix -----
 
@@ -700,6 +804,7 @@ int main(int argc, char** argv) {
             doc.set("schema_version",
                     report::json::number(report::k_bench_schema_version));
             doc.set("benchmark", report::json::str("bench_sim_queue"));
+            doc.set("environment", report::environment_stamp());
             doc.set("circuits", report::json::number(circuits));
             doc.set("gates", report::json::number(gates));
             doc.set("vectors", report::json::number(vectors));

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <thread>
 
 namespace plee::report {
 
@@ -206,6 +207,34 @@ void json::write_file(const std::string& path) const {
     if (!f) {
         throw std::runtime_error("json::write_file: write failed for " + path);
     }
+}
+
+json environment_stamp() {
+    std::string cpu = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        if (line.rfind("model name", 0) == 0 && line.find(':') != std::string::npos) {
+            cpu = line.substr(line.find(':') + 2);
+            break;
+        }
+    }
+    json env = json::object();
+    env.set("nproc", json::number(static_cast<std::int64_t>(
+                         std::thread::hardware_concurrency())));
+    env.set("cpu", json::str(cpu));
+#if defined(__clang__)
+    env.set("compiler", json::str(std::string("clang ") + __clang_version__));
+#elif defined(__GNUC__)
+    env.set("compiler", json::str(std::string("gcc ") + __VERSION__));
+#else
+    env.set("compiler", json::str("unknown"));
+#endif
+#ifdef NDEBUG
+    env.set("build", json::str("release"));
+#else
+    env.set("build", json::str("debug"));
+#endif
+    return env;
 }
 
 }  // namespace plee::report

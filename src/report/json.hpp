@@ -71,4 +71,9 @@ private:
     std::vector<json> elements_;                         ///< array
 };
 
+/// The "environment" block a bench artifact carries so that its timings can
+/// be tied to a machine: logical CPUs, CPU model (from /proc/cpuinfo where
+/// readable, else "unknown"), compiler, and build ("release" when NDEBUG).
+json environment_stamp();
+
 }  // namespace plee::report

@@ -1,7 +1,10 @@
-// calendar_queue.hpp — a bucketed timing-wheel event queue for pl_simulator.
+// calendar_queue.hpp — a bucketed timing-wheel event queue for pl_simulator's
+// 64-lane engine (run_lanes).
 //
-// The simulator's events are token deposits, dense in time and popped in
-// strict (time, seq) order.  A binary heap pays O(log n) comparisons and
+// Scalar runs need no queue: the default engine computes each wave in one
+// static sweep, and the heap oracle keeps its std::push_heap loop (over the
+// `deposit` record below).  The lane engine's events are token deposits,
+// dense in time and popped in strict (time, seq) order.  A binary heap pays O(log n) comparisons and
 // 24-byte record shuffles per operation; a calendar queue exploits the
 // structure of simulated time instead: event times are bucketed by a
 // quantized tick (bucket width = the smallest positive delay-model
@@ -19,9 +22,8 @@
 // hand-built netlist, about to throw anyway) falls back to the overflow
 // heap, which preserves exact pop order.
 //
-// Ordering contract (what makes the two engines bit-identical): events are
-// popped in exactly increasing (time, seq) — the same total order the heap's
-// comparator induces.  Bucketing never reorders across buckets because
+// Ordering contract: events are popped in exactly increasing (time, seq) —
+// the same total order the heap oracle's comparator induces.  Bucketing never reorders across buckets because
 // tick(t) is monotone in t, and a bucket is sorted by (time, seq) when its
 // tick becomes current.  Chain order within a bucket is already seq order
 // and event times arrive nearly sorted, so the drain sort is an adaptive
@@ -58,7 +60,7 @@ struct deposit {
     }
 };
 
-/// The calendar engine's 16-byte event: (seq, edge, value) packed into one
+/// The lane engine's 16-byte event: (seq, edge, value) packed into one
 /// key as [seq:39][edge:24][value:1].  seq owns the top bits and is unique,
 /// so ordering by (time, key) is exactly ordering by (time, seq) — the same
 /// total order the heap comparator induces — while halving every copy, sort

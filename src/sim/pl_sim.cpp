@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 
 #include "fault/injector.hpp"
+#include "plogic/pl_schedule.hpp"
 #include "sim/errors.hpp"
 
 namespace plee::sim {
@@ -29,6 +31,14 @@ double bucket_width_for(const delay_model& d) {
 double max_delay_for(const delay_model& d) {
     return std::max({d.d_source, d.gate_delay() + d.d_ee_penalty,
                      d.through_delay(), d.ack_delay(), d.efire_delay()});
+}
+
+/// The deposit count at which a max_events budget trips (saturating, so a
+/// budget of UINT64_MAX never trips).
+std::uint64_t over_budget(std::uint64_t max_events) {
+    return max_events == std::numeric_limits<std::uint64_t>::max()
+               ? max_events
+               : max_events + 1;
 }
 
 /// Field-by-field stats accumulation for the scalar-fallback path: every
@@ -105,7 +115,7 @@ pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
         in_count_[g] = d.in_end - d.in_begin;
         if (gate.trigger != pl::k_invalid_gate) {
             // Master of an EE pair: bake the trigger function and its
-            // pin-packing map in, so neither engine allocates at fire time.
+            // pin-packing map in, so no engine allocates at fire time.
             const pl::pl_gate& trig = pl.gate(gate.trigger);
             d.trig_fn_bits = trig.function.words();
             std::uint8_t count = 0;
@@ -135,7 +145,6 @@ pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
 
 void pl_simulator::reset() {
     stats_ = {};
-    trace_on_ = options_.collect_trace;
     trace_.clear();
     next_seq_ = 0;
     pending_ = in_count_;
@@ -393,282 +402,230 @@ void pl_simulator::run_heap() {
 }
 
 // ---------------------------------------------------------------------------
-// Throughput engine: calendar queue over SoA tokens and CSR adjacency.
+// Throughput engine: a static max-plus sweep, one topological pass per wave.
+//
+// Gate g's w-th firing consumes, on each in-edge, the token its consumption
+// index w needs: the producer's w-th deposit on a token-free edge, the
+// initial token (w = 0) or the producer's (w-1)-th deposit on a marked edge.
+// Walking the gates in a token-free topological order, wave by wave, visits
+// every producer's deposit before its consumer needs it, so each firing is
+// the event loop's arithmetic applied to tokens already in place.  A deposit
+// from firing k on an edge with marking m is consumed at index k + m, so it
+// lands in slot (k + m) & 1, and the two slots per edge never collide.
 // ---------------------------------------------------------------------------
 
-void pl_simulator::place_fast(pl::edge_id edge, bool value, double time) {
-    const std::size_t word = edge >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (edge & 63);
-    const std::uint64_t present = tok_present_[word];
-    if (present & bit) {
-        throw invariant_violation(
-            "token deposited onto an occupied edge " + std::to_string(edge) +
-                " (marked-graph safety violation)",
-            options_.label, stats_.events, "calendar");
+void pl_simulator::prepare_sweep() {
+    if (sweep_prepared_) return;
+    if (pl_.num_edges() > (std::numeric_limits<std::uint32_t>::max() >> 1)) {
+        throw std::length_error("pl_simulator: too many edges for the sweep");
     }
-    tok_present_[word] = present | bit;
-    tok_value_[word] = value ? tok_value_[word] | bit : tok_value_[word] & ~bit;
-    tok_time_[edge] = time;
-    if (trace_on_ && !topo_.edge_is_ack[edge]) {
-        trace_.push_back({time, edge, value});
+    sweep_out_.resize(topo_.out_flat.size());
+    for (std::size_t i = 0; i < topo_.out_flat.size(); ++i) {
+        const pl::edge_id e = topo_.out_flat[i];
+        sweep_out_[i] = 2 * e | (pl_.edge(e).init_token ? 1u : 0u);
     }
-    const pl::gate_id g = topo_.edge_to[edge];
-    if (--pending_[g] == 0) try_fire_fast(g);
+    schedule_ = pl::make_firing_schedule(pl_, topo_);
+    sweep_unsafe_ =
+        pl::find_unsafe_edge(pl_, topo_, schedule_, options_.non_pipelined);
+    sweep_prepared_ = true;
 }
 
-void pl_simulator::fire_source_fast(pl::gate_id g) {
+/// Checked mode only: may gate g make its wave-th firing?  Gates that die
+/// (miss a firing) stay dead, exactly as in the event loop, where a gate
+/// whose input never arrives is never enabled again.
+bool pl_simulator::sweep_ready(pl::gate_id g, std::size_t wave) const {
+    if (schedule_.never_fires[g] || fired_waves_[g] != wave) return false;
     const gate_desc& d = desc_[g];
-    while (pending_[g] == 0) {
-        const std::size_t wave = fired_waves_[g];
-        if (wave >= num_waves_ || wave >= released_waves_) return;
-
-        double t_ready = release_time_[wave];
-        for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-            const pl::edge_id e = topo_.in_flat[i];
-            t_ready = std::max(t_ready, tok_time_[e]);
-            tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
-        }
-        pending_[g] = in_count_[g];
-        ++fired_waves_[g];
-        ++stats_.firings;
-
-        const bool value = stim_bit(wave, d.env_slot);
-        const double t_out = t_ready + options_.delays.d_source;
-        input_stable_[wave] = std::max(input_stable_[wave], t_out);
-        const std::uint64_t tick = calendar_.tick_of(t_out);
-        std::uint64_t seq = next_seq_;
-        for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-            calendar_.push_at(
-                tick, {t_out, cal_event::pack(seq++, topo_.out_flat[i], value)});
-        }
-        next_seq_ = seq;
-    }
-}
-
-void pl_simulator::record_sink_fast(pl::gate_id g) {
-    const gate_desc& d = desc_[g];
-    const pl::edge_id data_edge = topo_.data_flat[d.data_begin];
-    const bool tok_val = token_value(data_edge);
-    const double tok_time = tok_time_[data_edge];
-    const std::size_t wave = fired_waves_[g];
-
-    double t_ready = tok_time;
     for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-        const pl::edge_id e = topo_.in_flat[i];
-        t_ready = std::max(t_ready, tok_time_[e]);
-        tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
+        const pl::pl_edge& e = pl_.edge(topo_.in_flat[i]);
+        if (fired_waves_[e.from] + (e.init_token ? 1u : 0u) <= wave) return false;
     }
-    pending_[g] = in_count_[g];
-    ++fired_waves_[g];
-    ++stats_.firings;
-
-    const double t_ack = t_ready + options_.delays.ack_delay();
-    const std::uint64_t tick = calendar_.tick_of(t_ack);
-    std::uint64_t seq = next_seq_;
-    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-        calendar_.push_at(
-            tick, {t_ack, cal_event::pack(seq++, topo_.out_flat[i], false)});
-    }
-    next_seq_ = seq;
-
-    if (wave >= num_waves_) return;  // drain beyond the measured horizon
-    wave_outputs_[wave][d.env_slot] = tok_val;
-    output_stable_[wave] = std::max(output_stable_[wave], tok_time);
-    if (--sinks_pending_[wave] == 0) {
-        ++waves_stable_;
-        if (options_.non_pipelined && wave + 1 < num_waves_) {
-            release_time_[wave + 1] = output_stable_[wave];
-            ++released_waves_;
-            for (pl::gate_id src : pl_.sources()) {
-                if (pending_[src] == 0) fire_source_fast(src);
-            }
-        }
-    }
+    // Non-pipelined sources wait for the previous wave's outputs.
+    return d.kind != pl::gate_kind::source || !options_.non_pipelined ||
+           wave == 0 || sinks_pending_[wave - 1] == 0;
 }
 
-void pl_simulator::try_fire_fast(pl::gate_id g) {
-    if (pending_[g] != 0) return;
-    if (fired_waves_[g] >= num_waves_) return;  // wave horizon (see try_fire)
-    const gate_desc& d = desc_[g];
-
-    switch (d.kind) {
-        case pl::gate_kind::source:
-            fire_source_fast(g);
-            return;
-        case pl::gate_kind::sink:
-            record_sink_fast(g);
-            return;
-        default:
-            break;
-    }
-
-    // Readiness + consume in one pass, then LUT operands, then emit
-    // (clearing presence leaves values and times intact).
-    const pl::edge_id* const in_flat = topo_.in_flat.data();
-    const double* const tok_time = tok_time_.data();
-    double t_ready = 0.0;
-    for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-        const pl::edge_id e = in_flat[i];
-        t_ready = std::max(t_ready, tok_time[e]);
-        tok_present_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
-    }
-    const pl::edge_id* const data_flat = topo_.data_flat.data() + d.data_begin;
-    std::uint32_t minterm = 0;
-    double t_data = 0.0;
-    for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
-        const pl::edge_id e = data_flat[pin];
-        minterm |= static_cast<std::uint32_t>(token_value(e)) << pin;
-        t_data = std::max(t_data, tok_time[e]);
-    }
-    const bool has_trigger = d.efire_in != pl::k_invalid_edge;
-    double efire_time = 0.0;
-    bool efire_value = false;
-    if (has_trigger) {
-        efire_time = tok_time[d.efire_in];
-        efire_value = token_value(d.efire_in);
-    }
-
-    pending_[g] = in_count_[g];
-    ++fired_waves_[g];
-    ++stats_.firings;
-
-    bool value = false;
-    double t_out = 0.0;
-    switch (d.kind) {
-        case pl::gate_kind::const_source:
-            value = d.const_value;
-            t_out = t_ready + options_.delays.d_source;
-            break;
-        case pl::gate_kind::through:
-            value = (minterm & 1u) != 0;  // identity on the D token
-            t_out = t_ready + options_.delays.through_delay();
-            break;
-        case pl::gate_kind::trigger:
-            value = (d.fn_bits[minterm >> 6] >> (minterm & 63)) & 1u;
-            t_out = t_ready + options_.delays.gate_delay();
-            break;
-        case pl::gate_kind::compute: {
-            value = (d.fn_bits[minterm >> 6] >> (minterm & 63)) & 1u;
-            if (!has_trigger) {
-                t_out = t_ready + options_.delays.gate_delay();
-                break;
-            }
-            const double normal =
-                t_data + options_.delays.gate_delay() + options_.delays.d_ee_penalty;
-            if (efire_value) {
-                const double early = efire_time + options_.delays.efire_delay();
-                t_out = std::min(early, normal);
-                ++stats_.ee_hits;
-                if (early < normal) ++stats_.ee_wins;
-            } else {
-                t_out = normal;
-                ++stats_.ee_misses;
-            }
-            if (options_.check_early_value) {
-                std::uint32_t packed = 0;
-                for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
-                    packed |= ((minterm >> d.trig_pins[i]) & 1u) << i;
-                }
-                const bool trig_value =
-                    (d.trig_fn_bits[packed >> 6] >> (packed & 63)) & 1u;
-                if (trig_value != efire_value) {
-                    throw invariant_violation(
-                        "efire token disagrees with the trigger function (EE "
-                        "invariant violated)",
-                        options_.label, stats_.events, "calendar");
-                }
-            }
-            break;
+/// Slow path of the per-firing event count: runs the cancel poll, the
+/// sim.fire fault point and the progress beat at every multiple of
+/// k_cancel_check_events deposits up to `after` (the event loop's cadence),
+/// then raises budget_exhausted at deposit max_events + 1.
+void pl_simulator::sweep_poll(std::uint64_t& events, std::uint64_t after,
+                              std::uint64_t& next_check) {
+    const std::uint64_t max_events = options_.max_events;
+    for (std::uint64_t m = (events / k_cancel_check_events + 1) *
+                           k_cancel_check_events;
+         m <= after && m <= max_events; m += k_cancel_check_events) {
+        events = m;
+        if (options_.cancel != nullptr && options_.cancel->expired()) {
+            throw job_timeout("sim.events", options_.label, events);
         }
-        default:
-            throw invariant_violation("unexpected gate kind in firing",
-                                      options_.label, stats_.events, "calendar");
-    }
-
-    const double t_ack = t_ready + options_.delays.ack_delay();
-    const std::uint64_t tick_out = calendar_.tick_of(t_out);
-    const std::uint64_t tick_ack = calendar_.tick_of(t_ack);
-    const pl::edge_id* const out_flat = topo_.out_flat.data();
-    std::uint64_t seq = next_seq_;
-    for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-        const pl::edge_id e = out_flat[i];
-        if (topo_.edge_is_ack[e]) {
-            calendar_.push_at(tick_ack, {t_ack, cal_event::pack(seq++, e, value)});
-        } else {
-            calendar_.push_at(tick_out, {t_out, cal_event::pack(seq++, e, value)});
+        fault::injector::instance().check("sim.fire", events);
+        if (options_.recorder != nullptr) {
+            options_.recorder->record("sim.progress", events, waves_stable_);
         }
     }
-    next_seq_ = seq;
+    if (after > max_events) {
+        events = over_budget(max_events);
+        throw budget_exhausted(options_.label, events, "calendar");
+    }
+    events = after;
+    next_check = std::min(
+        (after / k_cancel_check_events + 1) * k_cancel_check_events,
+        over_budget(max_events));
 }
 
-void pl_simulator::run_calendar() {
+void pl_simulator::run_sweep() {
+    prepare_sweep();
+    if (!sweep_unsafe_.empty()) {
+        throw invariant_violation(sweep_unsafe_, options_.label, 0, "calendar");
+    }
     const std::size_t num_edges = pl_.num_edges();
-    tok_present_.assign((num_edges + 63) / 64, 0);
-    tok_value_.assign((num_edges + 63) / 64, 0);
-    tok_time_.assign(num_edges, 0.0);
-    calendar_.reset(bucket_width_for(options_.delays),
-                    max_delay_for(options_.delays), num_edges);
-
-    // Initial marking: tokens in place at t = 0.
+    sweep_slots_.assign(2 * num_edges, {});
     for (pl::edge_id e = 0; e < num_edges; ++e) {
         const pl::pl_edge& edge = pl_.edge(e);
-        if (edge.init_token) {
-            const std::size_t word = e >> 6;
-            const std::uint64_t bit = std::uint64_t{1} << (e & 63);
-            tok_present_[word] |= bit;
-            if (edge.init_value) tok_value_[word] |= bit;
-            --pending_[edge.to];
-        }
+        if (edge.init_token) sweep_slots_[2 * e] = {0.0, edge.init_value};
     }
 
-    // Kick off every gate enabled by the initial marking (same rules as the
-    // reference engine, read from the descriptors).
-    for (pl::gate_id g = 0; g < pl_.num_gates(); ++g) {
-        if (pending_[g] == 0 && in_count_[g] != 0) try_fire_fast(g);
-        if (pending_[g] == 0 && in_count_[g] == 0 &&
-            desc_[g].kind == pl::gate_kind::source &&
-            desc_[g].out_end != desc_[g].out_begin) {
-            try_fire_fast(g);
-        }
-    }
+    const delay_model& dm = options_.delays;
+    const double d_gate = dm.gate_delay();
+    const double d_through = dm.through_delay();
+    const double d_ack = dm.ack_delay();
+    const double d_efire = dm.efire_delay();
+    const bool checked = schedule_.any_never_fires;
+    const bool trace = options_.collect_trace;
+    const pl::edge_id* const in_flat = topo_.in_flat.data();
+    const pl::edge_id* const data_flat = topo_.data_flat.data();
+    const pl::edge_id* const out_flat = topo_.out_flat.data();
+    const std::uint32_t* const out_slot = sweep_out_.data();
+    const std::uint8_t* const is_ack = topo_.edge_is_ack.data();
+    sweep_token* const slots = sweep_slots_.data();
 
-    // The event counter lives in a register for the loop (stats_.events is a
-    // uint64 the queue's stores could alias, forcing reloads) and is written
-    // back on every exit path.
-    std::uint64_t events = stats_.events;
-    const std::uint64_t max_events = options_.max_events;
-    cancel_token* const cancel = options_.cancel;
+    // Counters live in registers for the sweep and are written back on
+    // every exit path.
+    std::uint64_t events = 0, firings = 0, hits = 0, misses = 0, wins = 0;
+    std::uint64_t next_check =
+        std::min(k_cancel_check_events, over_budget(options_.max_events));
+    const auto flush = [&] {
+        stats_.events = events;
+        stats_.firings = firings;
+        stats_.ee_hits = hits;
+        stats_.ee_misses = misses;
+        stats_.ee_wins = wins;
+    };
     try {
-        // Drain to quiescence (see run_heap): the wave-horizon cap bounds
-        // the stream and full drain makes the stats pop-order-independent.
-        while (!calendar_.empty()) {
-            if (++events > max_events) {
-                throw budget_exhausted(options_.label, events, "calendar");
-            }
-            if ((events & (k_cancel_check_events - 1)) == 0) {
-                // Sync the registered counter so any throw below (including
-                // from place_fast) reports an event count at most one check
-                // interval stale.
-                stats_.events = events;
-                if (cancel != nullptr && cancel->expired()) {
-                    throw job_timeout("sim.events", options_.label, events);
+        for (std::size_t w = 0; w < num_waves_; ++w) {
+            const std::uint32_t p = w & 1u;
+            for (const pl::gate_id g : schedule_.order) {
+                if (checked && !sweep_ready(g, w)) continue;
+                const gate_desc& d = desc_[g];
+                double t_ready =
+                    d.kind == pl::gate_kind::source ? release_time_[w] : 0.0;
+                for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
+                    t_ready = std::max(t_ready, slots[2 * in_flat[i] + p].time);
                 }
-                fault::injector::instance().check("sim.fire", events);
-                if (options_.recorder != nullptr) {
-                    options_.recorder->record("sim.progress", events,
-                                              waves_stable_);
+                bool value = false;
+                double t_out = 0.0;
+                double t_ack = t_ready + d_ack;
+                switch (d.kind) {
+                    case pl::gate_kind::source:
+                        value = stim_bit(w, d.env_slot);
+                        t_out = t_ack = t_ready + dm.d_source;
+                        input_stable_[w] = std::max(input_stable_[w], t_out);
+                        break;
+                    case pl::gate_kind::sink: {
+                        const sweep_token tok =
+                            slots[2 * data_flat[d.data_begin] + p];
+                        wave_outputs_[w][d.env_slot] = tok.value;
+                        output_stable_[w] = std::max(output_stable_[w], tok.time);
+                        --sinks_pending_[w];
+                        t_out = t_ack;
+                        break;
+                    }
+                    case pl::gate_kind::const_source:
+                        value = d.const_value;
+                        t_out = t_ready + dm.d_source;
+                        break;
+                    case pl::gate_kind::through:
+                        value = d.num_data != 0 &&
+                                slots[2 * data_flat[d.data_begin] + p].value;
+                        t_out = t_ready + d_through;
+                        break;
+                    case pl::gate_kind::trigger:
+                    case pl::gate_kind::compute: {
+                        std::uint32_t minterm = 0;
+                        double t_data = 0.0;
+                        for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
+                            const sweep_token& tok =
+                                slots[2 * data_flat[d.data_begin + pin] + p];
+                            minterm |= static_cast<std::uint32_t>(tok.value) << pin;
+                            t_data = std::max(t_data, tok.time);
+                        }
+                        value = (d.fn_bits[minterm >> 6] >> (minterm & 63)) & 1u;
+                        if (d.efire_in == pl::k_invalid_edge) {
+                            t_out = t_ready + d_gate;
+                            break;
+                        }
+                        // EE master: normal completion pays the extra
+                        // C-element; a 1-valued efire token opens the output
+                        // latch early.
+                        const sweep_token efire = slots[2 * d.efire_in + p];
+                        const double normal = t_data + d_gate + dm.d_ee_penalty;
+                        if (efire.value) {
+                            const double early = efire.time + d_efire;
+                            t_out = std::min(early, normal);
+                            ++hits;
+                            if (early < normal) ++wins;
+                        } else {
+                            t_out = normal;
+                            ++misses;
+                        }
+                        if (options_.check_early_value) {
+                            std::uint32_t packed = 0;
+                            for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
+                                packed |= ((minterm >> d.trig_pins[i]) & 1u) << i;
+                            }
+                            const bool trig_value =
+                                (d.trig_fn_bits[packed >> 6] >> (packed & 63)) & 1u;
+                            if (trig_value != efire.value) {
+                                throw invariant_violation(
+                                    "efire token disagrees with the trigger "
+                                    "function (EE invariant violated)",
+                                    options_.label, events, "calendar");
+                            }
+                        }
+                        break;
+                    }
+                }
+                ++firings;
+                const std::uint64_t after = events + (d.out_end - d.out_begin);
+                if (after >= next_check) {
+                    sweep_poll(events, after, next_check);
+                } else {
+                    events = after;
+                }
+                for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
+                    const pl::edge_id e = out_flat[i];
+                    const double t = is_ack[e] ? t_ack : t_out;
+                    slots[out_slot[i] ^ p] = {t, value};
+                    if (trace && !is_ack[e]) trace_.push_back({t, e, value});
+                }
+                if (checked) ++fired_waves_[g];
+            }
+            if (sinks_pending_[w] == 0) {
+                ++waves_stable_;
+                if (options_.non_pipelined && w + 1 < num_waves_) {
+                    release_time_[w + 1] = output_stable_[w];
                 }
             }
-            // Argument loads happen before the call, so the reference going
-            // stale on an in-run push inside place_fast is harmless.
-            const cal_event& dep = calendar_.pop_min();
-            place_fast(dep.edge(), dep.value(), dep.time);
         }
     } catch (...) {
-        stats_.events = events;
+        flush();
         throw;
     }
-    stats_.events = events;
+    flush();
+    if (trace) {
+        std::stable_sort(trace_.begin(), trace_.end(), trace_order);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -682,7 +639,7 @@ std::vector<wave_record> pl_simulator::run(
             throw std::invalid_argument("pl_simulator::run: vector width mismatch");
         }
     }
-    // Transpose into the packed layout both engines now read from.
+    // Transpose into the packed layout every engine reads from.
     const std::size_t width = pl_.sources().size();
     packed_stim_.assign((vectors.size() + k_lanes - 1) / k_lanes, {});
     for (auto& block : packed_stim_) {
@@ -735,17 +692,11 @@ std::vector<wave_record> pl_simulator::run_packed(
                                              std::size_t{1} << 20));
     }
 
-    // The calendar engine packs (seq, edge, value) into one 64-bit key;
-    // netlists or event budgets beyond that layout fall back to the heap
-    // engine, which produces identical results.
-    const bool calendar_fits = pl_.num_edges() < cal_event::k_max_edges &&
-                               options_.max_events < cal_event::k_max_seq / 2;
-    const bool use_heap =
-        options_.queue == queue_kind::binary_heap || !calendar_fits;
+    const bool use_heap = options_.queue == queue_kind::binary_heap;
     if (use_heap) {
         run_heap();
     } else {
-        run_calendar();
+        run_sweep();
     }
     if (waves_stable_ < num_waves_) {
         throw deadlock_error(options_.label, deadlock_diagnostic(),
@@ -768,9 +719,9 @@ std::vector<wave_record> pl_simulator::run_packed(
 // ---------------------------------------------------------------------------
 // Lane engine: 64 independent single-vector runs through one event stream.
 //
-// Structure mirrors the calendar engine: same queue, same presence bitset,
-// same time array, same (time, seq) pop order.  What changes is the payload
-// — every data token carries a 64-bit value word instead of one bit.  The
+// An event loop like the heap oracle's — same firing rules, same (time, seq)
+// pop order — over the calendar queue, a presence bitset and a time array,
+// where every data token carries a 64-bit value word instead of one bit.  The
 // cal_event key has no room for a word, so the word rides in a side array
 // (lane_sched_) indexed by edge: marked-graph safety guarantees at most one
 // deposit in flight per edge, and lane_inflight_ enforces it (an unsafe
@@ -1860,10 +1811,21 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
 }
 
 std::string pl_simulator::deadlock_diagnostic() const {
+    // At quiescence an in-edge is empty exactly when its producer's deposits
+    // plus its marking are all consumed — the same end state for every
+    // engine, whether it tracked tokens (event loops) or not (the sweep).
+    const auto missing = [&](pl::gate_id g) {
+        std::uint32_t count = 0;
+        for (std::uint32_t i = topo_.in_off[g]; i < topo_.in_off[g + 1]; ++i) {
+            const pl::pl_edge& e = pl_.edge(topo_.in_flat[i]);
+            count += fired_waves_[e.from] + (e.init_token ? 1u : 0u) <= fired_waves_[g];
+        }
+        return count;
+    };
     std::size_t starving = 0;
     pl::gate_id example = pl::k_invalid_gate;
     for (pl::gate_id g = 0; g < pl_.num_gates(); ++g) {
-        if (pending_[g] > 0) {
+        if (missing(g) > 0) {
             ++starving;
             if (example == pl::k_invalid_gate) example = g;
         }
@@ -1874,7 +1836,7 @@ std::string pl_simulator::deadlock_diagnostic() const {
     if (example != pl::k_invalid_gate) {
         msg += " (first: gate " + std::to_string(example) + " '" +
                pl_.gate(example).name + "' missing " +
-               std::to_string(pending_[example]) + " tokens)";
+               std::to_string(missing(example)) + " tokens)";
     }
     return msg;
 }

@@ -1,4 +1,4 @@
-// pl_sim.hpp — event-driven token-level simulator for Phased Logic netlists.
+// pl_sim.hpp — token-level simulator for Phased Logic netlists.
 //
 // Simulates the marked-graph semantics of a PL circuit with valued tokens and
 // the delay model of delay_model.hpp.  A gate fires the moment a token is
@@ -17,39 +17,44 @@
 // all primary outputs of vector k have arrived.  A pipelined mode (tokens
 // streamed as fast as the acknowledges allow) is provided as an extension.
 //
-// The simulator doubles as a dynamic checker of the marked-graph theory: a
-// token deposited onto an occupied edge (safety violation) or a deadlock
-// before the run completes (liveness violation) raises an error.
+// The simulator doubles as a checker of the marked-graph theory: an edge
+// that can hold two tokens (safety violation) or a deadlock before the run
+// completes (liveness violation) raises an error.
 //
-// ## Two event-queue engines
+// ## Two scalar engines
 //
 // The simulator is the dominant per-circuit cost of a fleet job (the measure
-// phase dwarfs the EE phase), so the hot path exists twice behind
+// phase dwarfs the EE phase), so run / run_packed exist twice behind
 // sim_options::queue:
 //
-//  * queue_kind::calendar (default) — the throughput engine.  Pending
-//    deposits live in a bucketed timing wheel (calendar_queue.hpp) keyed on
-//    quantized delay-model ticks: O(1) schedule/pop instead of the heap's
-//    O(log n), with 16-byte packed events ([seq|edge|value] in one key) on
-//    an intrusive edge-indexed node pool — no allocation on the hot path.
-//    Token state is structure-of-arrays — a packed presence bitset, a value
-//    bitset and a flat time array — and gate adjacency comes from the CSR
-//    arrays of pl::flat_topology, so a firing walks contiguous id ranges
-//    instead of chasing per-gate std::vector headers.  Per-gate firing
-//    metadata (kind, pin counts, CSR offsets, LUT bits, trigger pin-packing
-//    map) is precomputed into one cache-line-aligned descriptor array.
-//    Netlists beyond the packed-key range (2^24 edges / 2^38 events) fall
-//    back to the heap engine transparently.
+//  * queue_kind::calendar (default) — the throughput engine, a static
+//    max-plus wave sweep with no event queue at all.  In a live marked graph
+//    every gate fires exactly once per wave, and each firing's time and
+//    value are a max/min recurrence over the tokens it consumes, so wave w
+//    is one pass over the gates in a topological order of the token-free
+//    edges (like a static timing analysis).  A token-free edge hands the
+//    consumer the producer's w-th deposit; a marked edge hands it the
+//    initial token at w = 0 and the (w-1)-th deposit after that.  Each edge
+//    keeps two (time, value) slots indexed by consumption parity, so a wave
+//    costs one read per in-edge and one write per out-edge.  The checks the
+//    event loop made dynamically are made once per simulator instead:
+//    marked-graph safety is structural (every edge on a cycle carrying
+//    exactly one token, with the non-pipelined environment's release
+//    hand-off as an implicit one-token sink-to-source edge), and gates that
+//    can never fire (a token-free cycle, or no inputs and no stimulus)
+//    switch the sweep to per-firing readiness checks so the run stops at
+//    exactly the firings the event loop would have reached.
 //
-//  * queue_kind::binary_heap — the seed's std::push_heap engine over
-//    array-of-structs token slots, kept as an independent reference
-//    implementation for golden cross-checking.
+//  * queue_kind::binary_heap — the seed's std::push_heap event loop over
+//    array-of-structs token slots, kept as the independent oracle; it checks
+//    safety dynamically as deposits land.
 //
-// Both engines pop deposits in exactly increasing (time, seq) order, so wave
-// records, stats and traces are bit-identical between them — asserted over
-// the ITC99 suite and every workload preset by tests/test_sim_queue.cpp, and
-// cross-checked at bench time by bench_sim_queue (~3x events/s on the fleet
-// mix, BENCH_sim.json).
+// Both engines produce bit-identical wave records and stats (events =
+// deposits, firings, EE hits/misses/wins) — asserted over the ITC99 suite
+// and every workload preset, plain and EE'd, under four delay models, by
+// tests/test_sim_queue.cpp, and at bench time by bench_sim_queue.  Traces
+// hold the same token arrivals; the heap's are in pop order, the sweep's
+// in (time, edge) order.
 //
 // ## Lane-parallel mode (run_lanes)
 //
@@ -101,6 +106,7 @@
 #include "obs/flight_recorder.hpp"
 #include "plogic/pl_flat.hpp"
 #include "plogic/pl_netlist.hpp"
+#include "plogic/pl_schedule.hpp"
 #include "rt/cancel.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/delay_model.hpp"
@@ -108,11 +114,13 @@
 
 namespace plee::sim {
 
-/// Which event-queue engine runs the simulation.  Results are bit-identical
-/// either way; only throughput differs.
+/// Which engine runs the simulation.  Results are bit-identical either way;
+/// only throughput differs.
 enum class queue_kind : std::uint8_t {
-    binary_heap,  ///< reference engine: std::push_heap over deposit structs
-    calendar,     ///< timing-wheel engine over the SoA/CSR hot path (default)
+    binary_heap,  ///< oracle: std::push_heap event loop over deposit structs
+    /// The throughput engines (default): the wave sweep for run/run_packed,
+    /// the calendar-queue lane engine for run_lanes.
+    calendar,
 };
 
 /// What run_lanes does when an EE master's mixed efire word makes lane
@@ -142,10 +150,10 @@ struct sim_options {
     bool check_early_value = true;
     /// Record every data-token arrival for waveform (VCD) export.
     bool collect_trace = false;
-    /// Hard limit on processed events (runaway guard).  Tripping it raises
-    /// sim::budget_exhausted (see sim/errors.hpp).
+    /// Hard limit on token deposits (runaway guard).  The (max_events + 1)-th
+    /// deposit raises sim::budget_exhausted (see sim/errors.hpp).
     std::uint64_t max_events = 100'000'000;
-    /// Event-queue engine selection.
+    /// Engine selection (see queue_kind).
     queue_kind queue = queue_kind::calendar;
     /// Lane-engine divergence handling (see lane_split_policy).
     lane_split_policy lane_policy = lane_split_policy::vector;
@@ -162,12 +170,12 @@ struct sim_options {
     /// Circuit/job label embedded in every typed simulator failure, so fleet
     /// logs can attribute a throw to its job ("b05", "datapath-like/3#2").
     std::string label;
-    /// Cooperative cancellation: both engines poll the token once per
-    /// k_cancel_check_events processed events and raise plee::job_timeout
+    /// Cooperative cancellation: every engine polls the token once per
+    /// k_cancel_check_events deposits and raises plee::job_timeout
     /// (with a partial event-count snapshot) when it has expired.  Not
     /// owned; null = never cancelled.
     cancel_token* cancel = nullptr;
-    /// Flight recorder for progress beats: both engines record a
+    /// Flight recorder for progress beats: every engine records a
     /// "sim.progress" event (events, waves-stable) at the same
     /// k_cancel_check_events cadence as the cancel poll, so a post-mortem of
     /// a dead job shows how far the simulation got.  Not owned; null = off.
@@ -190,6 +198,13 @@ struct trace_event {
     pl::edge_id edge = pl::k_invalid_edge;
     bool value = false;
 };
+
+/// The sweep's trace order: by time, then edge.  A stable sort by it puts a
+/// heap-engine trace in the same order (arrivals on one edge at one time
+/// keep their wave order under both engines).
+inline bool trace_order(const trace_event& a, const trace_event& b) {
+    return a.time != b.time ? a.time < b.time : a.edge < b.edge;
+}
 
 struct wave_record {
     std::vector<bool> outputs;   ///< primary output values, sink order
@@ -301,8 +316,9 @@ public:
         return fork_depth_counts_;
     }
 
-    /// Token arrivals recorded by the last run (empty unless
-    /// options.collect_trace); ordered by processing, not strictly by time.
+    /// Data-token arrivals recorded by the last run (empty unless
+    /// options.collect_trace): in pop order under the heap engine, in
+    /// (time, edge) order under the sweep.
     const std::vector<trace_event>& trace() const { return trace_; }
 
 private:
@@ -346,15 +362,18 @@ private:
     void fire_source(pl::gate_id g);
     void record_sink(pl::gate_id g);
 
-    // --- Throughput engine (calendar queue, SoA tokens, CSR adjacency) -----
-    void run_calendar();
-    void place_fast(pl::edge_id edge, bool value, double time);
-    void try_fire_fast(pl::gate_id g);
-    void fire_source_fast(pl::gate_id g);
-    void record_sink_fast(pl::gate_id g);
-    bool token_value(pl::edge_id e) const {
-        return (tok_value_[e >> 6] >> (e & 63)) & 1u;
-    }
+    // --- Throughput engine (static max-plus wave sweep) -------------------
+    /// One token of the sweep: slot 2e + (c & 1) of edge e holds the token
+    /// its c-th consumption reads.
+    struct sweep_token {
+        double time = 0.0;
+        bool value = false;
+    };
+    void run_sweep();
+    void prepare_sweep();
+    bool sweep_ready(pl::gate_id g, std::size_t wave) const;
+    void sweep_poll(std::uint64_t& events, std::uint64_t after,
+                    std::uint64_t& next_check);
 
     // --- Lane engine (calendar queue, 64-bit value words per token) --------
     /// One present token of a fork checkpoint (sparse over the presence
@@ -459,19 +478,29 @@ private:
     std::vector<token_slot> tokens_;  ///< per edge (AoS)
     std::vector<deposit> heap_;       ///< min-heap via std::push_heap
 
+    // Sweep structure (built on the first run/run_packed call).
+    bool sweep_prepared_ = false;
+    /// Non-empty when the netlist is structurally unsafe: the violation.
+    std::string sweep_unsafe_;
+    /// Firing order and never-firing gates; any of the latter put the
+    /// sweep in checked mode (readiness tested per firing).
+    pl::firing_schedule schedule_;
+    /// Per topo_.out_flat position: 2 * edge | init_token, so the slot a
+    /// firing of parity p writes is sweep_out_[i] ^ p.
+    std::vector<std::uint32_t> sweep_out_;
+
     // Per-run state — throughput engine.
-    std::vector<std::uint64_t> tok_present_;  ///< presence bitset, per edge
-    std::vector<std::uint64_t> tok_value_;    ///< value bitset, per edge
-    std::vector<double> tok_time_;            ///< arrival time, per edge
-    calendar_queue calendar_;
+    std::vector<sweep_token> sweep_slots_;  ///< per edge x consumption parity
 
     // Per-run state — shared.
-    bool trace_on_ = false;  ///< options_.collect_trace, hoisted for place_fast
     std::vector<std::uint32_t> pending_;      ///< per gate: inputs without tokens
     std::vector<std::uint32_t> fired_waves_;  ///< per gate: completed firings
     std::uint64_t next_seq_ = 0;
 
     // Per-run state — lane engine.
+    std::vector<std::uint64_t> tok_present_;  ///< presence bitset, per edge
+    std::vector<double> tok_time_;            ///< arrival time, per edge
+    calendar_queue calendar_;
     std::vector<std::uint64_t> lane_value_;     ///< per edge: lane-packed value
     std::vector<std::uint64_t> lane_sched_;     ///< per edge: in-flight value word
     std::vector<std::uint64_t> lane_inflight_;  ///< bitset: deposit scheduled

@@ -1,12 +1,16 @@
-// Golden cross-check of the two pl_simulator event-queue engines: the
-// binary-heap reference and the calendar/SoA/CSR throughput engine must
-// produce bit-identical wave records, stats and traces on every circuit
-// family — the ITC99 suite and all four workload scenario presets — in
-// pipelined and non-pipelined mode, with trace collection on and off, under
-// stress delay models (tie-heavy, overflow-heavy, all-zero), and through
-// the fleet runner at several thread counts.
+// Differential test of the two pl_simulator scalar engines: the binary-heap
+// event loop (the oracle) and the static max-plus wave sweep (the default
+// throughput engine) must produce exactly equal wave records and stats on
+// every circuit family — ITC99 b01-b15 and every workload scenario preset,
+// each plain and EE-transformed — under four delay models, in pipelined and
+// non-pipelined mode.  Traces must hold the same token arrivals; the sweep
+// has no pop order, so both are compared in (time, edge) order.  The typed
+// failures (budget, deadlock) and the fleet runner are checked across
+// engines too.
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include "plogic/pl_mapper.hpp"
 #include "plogic/pl_netlist.hpp"
 #include "runner/runner.hpp"
+#include "sim/errors.hpp"
 #include "sim/measure.hpp"
 #include "sim/pl_sim.hpp"
 #include "workload/workload.hpp"
@@ -46,48 +51,91 @@ engine_run simulate(const pl::pl_netlist& pl, queue_kind queue,
     return run;
 }
 
+/// The heap engine records arrivals in pop order, the sweep in trace_order.
+std::vector<trace_event> time_edge_order(std::vector<trace_event> trace) {
+    std::stable_sort(trace.begin(), trace.end(), trace_order);
+    return trace;
+}
+
 /// Bit-identical means exact: outputs, all three timestamps of every wave,
-/// every stats counter, and the full trace (ordering included).
-void expect_identical(const engine_run& heap, const engine_run& cal,
+/// every stats counter, and the full trace in (time, edge) order.
+void expect_identical(const engine_run& heap, const engine_run& sweep,
                       const std::string& label) {
-    ASSERT_EQ(heap.waves.size(), cal.waves.size()) << label;
+    ASSERT_EQ(heap.waves.size(), sweep.waves.size()) << label;
     for (std::size_t w = 0; w < heap.waves.size(); ++w) {
         const wave_record& a = heap.waves[w];
-        const wave_record& b = cal.waves[w];
+        const wave_record& b = sweep.waves[w];
         EXPECT_EQ(a.outputs, b.outputs) << label << " wave " << w;
         EXPECT_EQ(a.release_time, b.release_time) << label << " wave " << w;
         EXPECT_EQ(a.input_stable, b.input_stable) << label << " wave " << w;
         EXPECT_EQ(a.output_stable, b.output_stable) << label << " wave " << w;
     }
-    EXPECT_EQ(heap.stats.events, cal.stats.events) << label;
-    EXPECT_EQ(heap.stats.firings, cal.stats.firings) << label;
-    EXPECT_EQ(heap.stats.ee_hits, cal.stats.ee_hits) << label;
-    EXPECT_EQ(heap.stats.ee_misses, cal.stats.ee_misses) << label;
-    EXPECT_EQ(heap.stats.ee_wins, cal.stats.ee_wins) << label;
-    ASSERT_EQ(heap.trace.size(), cal.trace.size()) << label;
-    for (std::size_t i = 0; i < heap.trace.size(); ++i) {
-        EXPECT_EQ(heap.trace[i].time, cal.trace[i].time) << label << " #" << i;
-        EXPECT_EQ(heap.trace[i].edge, cal.trace[i].edge) << label << " #" << i;
-        EXPECT_EQ(heap.trace[i].value, cal.trace[i].value) << label << " #" << i;
+    EXPECT_EQ(heap.stats.events, sweep.stats.events) << label;
+    EXPECT_EQ(heap.stats.firings, sweep.stats.firings) << label;
+    EXPECT_EQ(heap.stats.ee_hits, sweep.stats.ee_hits) << label;
+    EXPECT_EQ(heap.stats.ee_misses, sweep.stats.ee_misses) << label;
+    EXPECT_EQ(heap.stats.ee_wins, sweep.stats.ee_wins) << label;
+    const std::vector<trace_event> ordered = time_edge_order(heap.trace);
+    ASSERT_EQ(ordered.size(), sweep.trace.size()) << label;
+    for (std::size_t i = 0; i < ordered.size(); ++i) {
+        ASSERT_EQ(ordered[i].time, sweep.trace[i].time) << label << " #" << i;
+        ASSERT_EQ(ordered[i].edge, sweep.trace[i].edge) << label << " #" << i;
+        ASSERT_EQ(ordered[i].value, sweep.trace[i].value) << label << " #" << i;
     }
 }
 
-/// Both engines across all four (pipelined x trace) modes.
+/// Both engines in both pipeline modes.  The heap oracle runs once with
+/// trace collection; the sweep runs with and without it, and both sweep
+/// runs must match the oracle.
 void check_all_modes(const pl::pl_netlist& pl, const std::string& label,
                      std::size_t num_vectors, const delay_model& delays = {}) {
     const std::vector<std::vector<bool>> vectors =
         random_vectors(num_vectors, pl.sources().size(), 0x5eed);
     for (bool non_pipelined : {true, false}) {
-        for (bool trace : {false, true}) {
-            const std::string mode =
-                label + (non_pipelined ? " non-pipelined" : " pipelined") +
-                (trace ? " trace" : "");
-            expect_identical(simulate(pl, queue_kind::binary_heap, non_pipelined,
-                                      trace, vectors, delays),
-                             simulate(pl, queue_kind::calendar, non_pipelined,
-                                      trace, vectors, delays),
-                             mode);
-        }
+        const std::string mode =
+            label + (non_pipelined ? " non-pipelined" : " pipelined");
+        const engine_run heap = simulate(pl, queue_kind::binary_heap,
+                                         non_pipelined, true, vectors, delays);
+        expect_identical(heap,
+                         simulate(pl, queue_kind::calendar, non_pipelined, true,
+                                  vectors, delays),
+                         mode + " trace");
+        // Untraced: waves and stats only (the oracle's trace stands in).
+        engine_run untraced = simulate(pl, queue_kind::calendar, non_pipelined,
+                                       false, vectors, delays);
+        EXPECT_TRUE(untraced.trace.empty()) << mode;
+        untraced.trace = time_edge_order(heap.trace);
+        expect_identical(heap, untraced, mode);
+    }
+}
+
+/// The differential matrix's delay models: the default, all-zero (every
+/// deposit at t = 0, so the heap's order is pure seq), all-equal ties, and
+/// an irregular one where no two components are equal.
+std::vector<std::pair<std::string, delay_model>> delay_models() {
+    delay_model zero;
+    zero.d_celem = zero.d_lut = zero.d_latch = zero.d_ee_penalty =
+        zero.d_source = 0.0;
+    delay_model ties;
+    ties.d_celem = ties.d_lut = ties.d_latch = ties.d_ee_penalty =
+        ties.d_source = 1.0;
+    delay_model irregular;
+    irregular.d_celem = 0.3;
+    irregular.d_lut = 0.7;
+    irregular.d_latch = 0.2;
+    irregular.d_ee_penalty = 0.9;
+    irregular.d_source = 0.05;
+    return {{"default", delay_model{}},
+            {"zero", zero},
+            {"ties", ties},
+            {"irregular", irregular}};
+}
+
+/// One netlist through every delay model of the matrix.
+void check_all_delay_models(const pl::pl_netlist& pl, const std::string& label,
+                            std::size_t num_vectors) {
+    for (const auto& [name, delays] : delay_models()) {
+        check_all_modes(pl, label + " " + name, num_vectors, delays);
     }
 }
 
@@ -99,7 +147,10 @@ pl::pl_netlist map_with_ee(const nl::netlist& netlist) {
 
 TEST(SimQueue, Itc99SuiteBitIdentical) {
     for (const bench::benchmark_info& info : bench::itc99_suite()) {
-        check_all_modes(map_with_ee(info.build()), info.id, 6);
+        const nl::netlist netlist = info.build();
+        check_all_delay_models(pl::map_to_phased_logic(netlist).pl,
+                               info.id + "/plain", 6);
+        check_all_delay_models(map_with_ee(netlist), info.id + "/ee", 6);
     }
 }
 
@@ -109,10 +160,10 @@ TEST(SimQueue, WorkloadPresetsBitIdentical) {
             wl::generate(wl::scenario_params(kind, 120, 99));
         // Plain PL mapping and the EE-transformed circuit both count: the
         // EE masters exercise the efire path and the invariant checker.
-        check_all_modes(pl::map_to_phased_logic(netlist).pl,
-                        std::string(wl::to_string(kind)) + "/plain", 8);
-        check_all_modes(map_with_ee(netlist),
-                        std::string(wl::to_string(kind)) + "/ee", 8);
+        check_all_delay_models(pl::map_to_phased_logic(netlist).pl,
+                               std::string(wl::to_string(kind)) + "/plain", 8);
+        check_all_delay_models(map_with_ee(netlist),
+                               std::string(wl::to_string(kind)) + "/ee", 8);
     }
 }
 
@@ -153,31 +204,15 @@ TEST(SimQueue, WideArityLut6PlusPipelineBitIdentical) {
 }
 
 TEST(SimQueue, StressDelayModelsBitIdentical) {
+    // A 5e5x spread between the smallest and largest delay: a source's
+    // deposits land long before any gate's, so the waves overlap deeply in
+    // pipelined mode.
     const nl::netlist netlist =
         wl::generate(wl::scenario_params(wl::scenario::random_dag, 80, 7));
-    const pl::pl_netlist pl = map_with_ee(netlist);
-
-    // Tie-heavy: every component equal, so most deposits share times and the
-    // seq tie-break decides the order.
-    delay_model ties;
-    ties.d_celem = ties.d_lut = ties.d_latch = ties.d_ee_penalty =
-        ties.d_source = 1.0;
-    check_all_modes(pl, "ties", 6, ties);
-
-    // Overflow-heavy: a 5e5x spread between the smallest and largest delay
-    // puts every gate deposit far beyond the calendar's ring window, forcing
-    // the overflow-heap path on essentially every push.
     delay_model spread;
     spread.d_source = 1e-4;
     spread.d_lut = 50.0;
-    check_all_modes(pl, "spread", 4, spread);
-
-    // Degenerate all-zero model: bucket width falls back, every event lands
-    // at time 0 on tick 0, and ordering is pure seq.
-    delay_model zero;
-    zero.d_celem = zero.d_lut = zero.d_latch = zero.d_ee_penalty =
-        zero.d_source = 0.0;
-    check_all_modes(pl, "zero", 6, zero);
+    check_all_modes(map_with_ee(netlist), "spread", 4, spread);
 }
 
 TEST(SimQueue, EventBudgetExhaustsIdentically) {
@@ -197,9 +232,8 @@ TEST(SimQueue, EventBudgetExhaustsIdentically) {
 }
 
 TEST(SimQueue, OversizedEventBudgetFallsBackToHeapEngine) {
-    // max_events beyond the packed-key range silently selects the heap
-    // engine; results are identical either way, so only equality and
-    // completion are observable.
+    // A budget beyond the lane engine's packed-key range: the sweep has no
+    // key to pack and runs as usual, and must still equal the oracle.
     const pl::pl_netlist pl = map_with_ee(bench::make_b02());
     const std::vector<std::vector<bool>> vectors =
         random_vectors(10, pl.sources().size(), 3);
@@ -218,6 +252,59 @@ TEST(SimQueue, OversizedEventBudgetFallsBackToHeapEngine) {
         EXPECT_EQ(a[w].output_stable, b[w].output_stable);
     }
     EXPECT_EQ(fallback.stats().events, reference.stats().events);
+}
+
+TEST(SimQueue, PartialProgressDeadlockOnBothEngines) {
+    // A constant gate with no inputs never fires, but its edge into `g`
+    // starts marked: g fires wave 0 on the initial token and then starves,
+    // so the run stops after one stable wave on either engine.  A healthy
+    // second path (in2 -> h -> out2) keeps firing until the non-pipelined
+    // environment stops releasing waves.
+    pl::pl_netlist pl;
+    const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
+    const pl::gate_id stuck = pl.add_gate(pl::gate_kind::const_source, "stuck");
+    const pl::gate_id g = pl.add_gate(pl::gate_kind::compute, "g");
+    pl.set_function(g, bf::truth_table::variable(2, 0) &
+                           bf::truth_table::variable(2, 1));
+    const pl::gate_id snk = pl.add_gate(pl::gate_kind::sink, "out");
+    pl.add_data_edge(src, g, 0, false, false);
+    pl.add_data_edge(stuck, g, 1, true, true);
+    pl.add_data_edge(g, snk, 0, false, false);
+    pl.add_ack_edge(snk, g, true);
+    pl.add_ack_edge(g, src, true);
+    const pl::gate_id src2 = pl.add_gate(pl::gate_kind::source, "in2");
+    const pl::gate_id h = pl.add_gate(pl::gate_kind::compute, "h");
+    pl.set_function(h, bf::truth_table::variable(1, 0));
+    const pl::gate_id snk2 = pl.add_gate(pl::gate_kind::sink, "out2");
+    pl.add_data_edge(src2, h, 0, false, false);
+    pl.add_data_edge(h, snk2, 0, false, false);
+    pl.add_ack_edge(snk2, h, true);
+    pl.add_ack_edge(h, src2, true);
+
+    for (bool non_pipelined : {true, false}) {
+        std::string diagnostic[2];
+        sim_run_stats stats[2];
+        for (queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
+            const int k = queue == queue_kind::binary_heap ? 0 : 1;
+            sim_options opts;
+            opts.queue = queue;
+            opts.non_pipelined = non_pipelined;
+            pl_simulator simulator(pl, opts);
+            try {
+                simulator.run({{true, false}, {false, true}, {true, true}});
+                ADD_FAILURE() << "expected deadlock_error on " << to_string(queue);
+            } catch (const deadlock_error& e) {
+                const std::string what = e.what();
+                diagnostic[k] = what.substr(0, what.find(" (after"));
+            }
+            stats[k] = simulator.stats();
+        }
+        EXPECT_NE(diagnostic[0].find("1/3 waves stable"), std::string::npos)
+            << diagnostic[0];
+        EXPECT_EQ(diagnostic[0], diagnostic[1]);
+        EXPECT_EQ(stats[0].events, stats[1].events);
+        EXPECT_EQ(stats[0].firings, stats[1].firings);
+    }
 }
 
 TEST(SimQueue, QueueKindStrings) {

@@ -14,7 +14,10 @@
 //   --seed S       generator + stimulus seed                  (default fixed)
 //   --threads N    worker pool size, 0 = hardware_concurrency (default 0)
 //   --vectors V    random vectors per measurement             (default 20)
-//   --queue Q      simulator event queue: calendar | heap     (default calendar)
+//   --queue Q      simulator engine: calendar | heap          (default calendar)
+//                  calendar = the throughput engines (wave sweep at
+//                  --lanes 1, lane engine at --lanes 64); heap = the
+//                  event-loop oracle; results are bit-identical
 //   --lanes L      stimulus lanes per engine pass: 1 | 64     (default 1)
 //   --lane-policy P lane divergence handling: vector|fork|replay (default vector)
 //   --delays D     delay model: default | tie (all components 1.0 — the
@@ -93,6 +96,8 @@ void usage(const char* argv0) {
         "       [--inject SPEC] [--json PATH]\n"
         "       [--metrics-out PATH] [--trace-out PATH] [--no-telemetry]\n"
         "\n"
+        "  --queue: calendar = wave sweep (lanes 1) / lane engine (lanes 64);\n"
+        "           heap = the event-loop oracle; results are bit-identical\n"
         "  --inject points: synth.map ee.search sim.fire\n"
         "  --inject fates:  PROB | PROB:transient | PROB:permanent | "
         "PROB:delay=MS\n",

@@ -13,7 +13,9 @@
 //                      (default 0 = hardware_concurrency; bit-identical
 //                      results at any count)
 //   --seed S           stimulus seed                        (default fixed)
-//   --queue Q          simulator event queue: calendar | heap
+//   --queue Q          simulator engine: calendar (the throughput engines:
+//                      wave sweep at --lanes 1, calendar-queue lane engine
+//                      at --lanes 64) | heap (the event-loop oracle)
 //                      (default calendar; results are bit-identical)
 //   --lanes L          stimulus lanes per engine pass: 1 | 64
 //                      (default 1 = the paper's sequential protocol; 64 =
@@ -97,7 +99,11 @@ void usage() {
                  "[--lanes 1|64] [--lane-policy vector|fork|replay]\n"
                  "                 [--delays default|tie] [--no-check] [--dot FILE] "
                  "[--vcd FILE] [--blif-out FILE] [--report]\n"
-                 "                 [--metrics-out FILE] [--trace-out FILE]\n");
+                 "                 [--metrics-out FILE] [--trace-out FILE]\n"
+                 "  --queue: calendar = wave sweep (lanes 1) / lane engine "
+                 "(lanes 64);\n"
+                 "           heap = the event-loop oracle; results are "
+                 "bit-identical\n");
 }
 
 std::optional<cli_options> parse(int argc, char** argv) {
