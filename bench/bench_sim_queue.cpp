@@ -23,6 +23,12 @@
 // back to back, and reports the median over repetitions of ms per
 // measurement and events/s for each engine.
 //
+// The `lanes` row compares, on the same mix, the lane sweep (run_lanes, 64
+// independent vectors per pass) with serial single-vector sweeps, after a
+// gate that checks the lane sweep bit for bit against the serial runs; and
+// the 64-lane synchronous golden model with the scalar one.  A lane speedup
+// below 1 means the lane layer does not pay, and is printed as a warning.
+//
 //   --circuits N       netlists in the mix                   (default 12)
 //   --gates G          LUTs per netlist                      (default 150)
 //   --vectors V        random vectors per run                (default 60)
@@ -205,43 +211,10 @@ double best_events_per_s(const std::vector<const circuit*>& group,
 
 struct lane_check {
     bool ok = true;
-    std::uint64_t lane_vectors = 0;
-    std::uint64_t lane_blocks = 0;
-    std::uint64_t lane_runs = 0;
     std::uint64_t lane_splits = 0;
-    std::uint64_t lane_forks = 0;
-
-    /// Run-merging achieved vs possible, passes = from-t0 runs + fork
-    /// resumes (mirrors measure_lanes' definition, aggregated).
-    double lockstep_fraction() const {
-        const std::uint64_t passes =
-            std::min(lane_vectors, lane_runs + lane_forks);
-        return lane_vectors > lane_blocks
-                   ? static_cast<double>(lane_vectors - passes) /
-                         static_cast<double>(lane_vectors - lane_blocks)
-                   : 1.0;
-    }
 };
 
-/// The replay-from-t0 baseline configuration: divergence handling exactly as
-/// before fork-at-split landed (every minority branch replays, no
-/// trigger-aware grouping).
-sim::sim_options replay_baseline_options() {
-    sim::sim_options opts;
-    opts.lane_policy = sim::lane_split_policy::replay;
-    opts.lane_group = false;
-    return opts;
-}
-
-/// Fork-at-split with trigger-aware grouping: the scalar divergence
-/// machinery the vector default replaced, kept as an explicit A/B arm.
-sim::sim_options fork_options() {
-    sim::sim_options opts;
-    opts.lane_policy = sim::lane_split_policy::fork;
-    return opts;
-}
-
-/// Lane engine golden gate: run_lanes over every block of `c` must match 64
+/// Lane sweep golden gate: run_lanes over every block of `c` must match 64
 /// serial single-vector runs bit for bit — sink values, per-vector stable
 /// times — and the summed EE counters must be equal.
 lane_check check_lanes_vs_serial(const circuit& c) {
@@ -257,11 +230,7 @@ lane_check check_lanes_vs_serial(const circuit& c) {
         lane_total.ee_hits += ls.ee_hits;
         lane_total.ee_misses += ls.ee_misses;
         lane_total.ee_wins += ls.ee_wins;
-        out.lane_vectors += ls.lane_vectors;
-        out.lane_blocks += ls.lane_blocks;
-        out.lane_runs += ls.lane_runs;
         out.lane_splits += ls.lane_splits;
-        out.lane_forks += ls.lane_forks;
         for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
             block.extract(lane, one[0]);
             const std::vector<sim::wave_record> waves = ref.run(one);
@@ -325,8 +294,8 @@ double sync_lane_pass(const circuit& c,
     return timer.elapsed_ms();
 }
 
-/// One timed pass of the PL event engine, one single-vector run per vector
-/// (the serial reference the lane engine is checked against).
+/// One timed pass of the PL wave sweep, one single-vector run per vector
+/// (the serial reference the lane sweep is checked against).
 double pl_serial_pass(const circuit& c) {
     sim::pl_simulator simulator(c.pl, sim::sim_options{});
     std::vector<std::vector<bool>> one(1);
@@ -338,70 +307,12 @@ double pl_serial_pass(const circuit& c) {
     return timer.elapsed_ms();
 }
 
-/// One timed pass of the PL lane engine, run_lanes per block, under the
-/// given options (vector default vs fork-at-split vs the replay baseline).
-double pl_lane_pass(const circuit& c, const sim::sim_options& opts) {
-    sim::pl_simulator simulator(c.pl, opts);
+/// One timed pass of the PL lane sweep, run_lanes per block.
+double pl_lane_pass(const circuit& c) {
+    sim::pl_simulator simulator(c.pl, sim::sim_options{});
     const wall_timer timer;
     for (const sim::stimulus_block& b : c.blocks) simulator.run_lanes(b);
     return timer.elapsed_ms();
-}
-
-/// Three-policy agreement gate: vector (the default), fork-at-split, and
-/// the replay-from-t0 baseline over the same blocks must agree on every
-/// per-lane output bit, stable time and delay, and on the summed EE
-/// counters.  Also accumulates the fork arm's pass accounting (for its
-/// lockstep fraction, which characterizes the mix's divergence) and each
-/// scalar policy's from-t0 run count so the report can show the replays
-/// forking avoided.
-bool check_policies_agree(const circuit& c, lane_check* fork_check,
-                          std::uint64_t* replay_runs) {
-    sim::pl_simulator vec_sim(c.pl, sim::sim_options{});
-    sim::pl_simulator fork_sim(c.pl, fork_options());
-    sim::pl_simulator replay_sim(c.pl, replay_baseline_options());
-    sim::sim_run_stats vec_total{};
-    sim::sim_run_stats fork_total{};
-    sim::sim_run_stats replay_total{};
-    for (const sim::stimulus_block& block : c.blocks) {
-        const sim::lane_block_result vr = vec_sim.run_lanes(block);
-        const sim::lane_block_result fr = fork_sim.run_lanes(block);
-        const sim::lane_block_result rr = replay_sim.run_lanes(block);
-        const sim::sim_run_stats& vs = vec_sim.stats();
-        const sim::sim_run_stats& fs = fork_sim.stats();
-        const sim::sim_run_stats& rs = replay_sim.stats();
-        vec_total.ee_hits += vs.ee_hits;
-        vec_total.ee_misses += vs.ee_misses;
-        vec_total.ee_wins += vs.ee_wins;
-        fork_total.ee_hits += fs.ee_hits;
-        fork_total.ee_misses += fs.ee_misses;
-        fork_total.ee_wins += fs.ee_wins;
-        replay_total.ee_hits += rs.ee_hits;
-        replay_total.ee_misses += rs.ee_misses;
-        replay_total.ee_wins += rs.ee_wins;
-        fork_check->lane_vectors += fs.lane_vectors;
-        fork_check->lane_blocks += fs.lane_blocks;
-        fork_check->lane_runs += fs.lane_runs;
-        fork_check->lane_splits += fs.lane_splits;
-        fork_check->lane_forks += fs.lane_forks;
-        *replay_runs += rs.lane_runs;
-        if (fr.outputs != rr.outputs || vr.outputs != fr.outputs) return false;
-        for (std::size_t lane = 0; lane < block.num_vectors; ++lane) {
-            if (fr.input_stable[lane] != rr.input_stable[lane] ||
-                fr.output_stable[lane] != rr.output_stable[lane] ||
-                fr.delay(lane) != rr.delay(lane) ||
-                vr.input_stable[lane] != fr.input_stable[lane] ||
-                vr.output_stable[lane] != fr.output_stable[lane] ||
-                vr.delay(lane) != fr.delay(lane)) {
-                return false;
-            }
-        }
-    }
-    return vec_total.ee_hits == fork_total.ee_hits &&
-           vec_total.ee_misses == fork_total.ee_misses &&
-           vec_total.ee_wins == fork_total.ee_wins &&
-           fork_total.ee_hits == replay_total.ee_hits &&
-           fork_total.ee_misses == replay_total.ee_misses &&
-           fork_total.ee_wins == replay_total.ee_wins;
 }
 
 }  // namespace
@@ -609,47 +520,18 @@ int main(int argc, char** argv) {
             const lane_check lc = check_lanes_vs_serial(c);
             if (!lc.ok) {
                 std::fprintf(stderr,
-                             "FAIL: lane engine diverges from serial runs on "
+                             "FAIL: lane sweep diverges from serial runs on "
                              "%s (gates=%zu seed=%llu)\n",
                              c.scenario.c_str(), gates,
                              static_cast<unsigned long long>(seed));
                 return 1;
             }
-            lanes.lane_vectors += lc.lane_vectors;
-            lanes.lane_blocks += lc.lane_blocks;
-            lanes.lane_runs += lc.lane_runs;
             lanes.lane_splits += lc.lane_splits;
-            lanes.lane_forks += lc.lane_forks;
         }
-        std::printf("cross-check: lane engine (vector policy) bit-identical "
-                    "to serial runs on %zu circuits (%llu divergent words "
-                    "widened)\n",
+        std::printf("cross-check: lane sweep bit-identical to serial runs on "
+                    "%zu circuits (%llu divergent master firings)\n",
                     mix.size(),
                     static_cast<unsigned long long>(lanes.lane_splits));
-
-        // Agreement gate: the vector default, fork-at-split, and the
-        // replay-from-t0 baseline must produce identical per-lane results
-        // (non-zero exit otherwise).
-        lane_check fork_arm{};
-        std::uint64_t replay_runs = 0;
-        for (const circuit& c : mix) {
-            if (!check_policies_agree(c, &fork_arm, &replay_runs)) {
-                std::fprintf(stderr,
-                             "FAIL: lane divergence policies disagree on "
-                             "%s (gates=%zu seed=%llu)\n",
-                             c.scenario.c_str(), gates,
-                             static_cast<unsigned long long>(seed));
-                return 1;
-            }
-        }
-        std::printf("cross-check: vector == fork == replay per-lane on %zu "
-                    "circuits (fork: %llu runs + %llu resumes, lockstep "
-                    "%.3f; replay: %llu runs)\n",
-                    mix.size(),
-                    static_cast<unsigned long long>(fork_arm.lane_runs),
-                    static_cast<unsigned long long>(fork_arm.lane_forks),
-                    fork_arm.lockstep_fraction(),
-                    static_cast<unsigned long long>(replay_runs));
 
         // Interleaved A/B: within every repetition each circuit runs the
         // scalar pass immediately followed by the lane pass, so frequency
@@ -658,8 +540,6 @@ int main(int argc, char** argv) {
         double sync_lane_ms = 1e300;
         double pl_serial_ms = 1e300;
         double pl_lane_ms = 1e300;
-        double pl_fork_ms = 1e300;
-        double pl_replay_ms = 1e300;
         std::size_t scalar_sink = 0;
         std::uint64_t lane_sink = 0;
         std::vector<std::vector<std::vector<bool>>> sync_vecs;
@@ -672,21 +552,17 @@ int main(int argc, char** argv) {
                 lane_vectors, mix[i].pl.sources().size(), s));
         }
         for (int r = 0; r < repeat; ++r) {
-            double sc = 0.0, sl = 0.0, es = 0.0, el = 0.0, ef = 0.0, er = 0.0;
+            double sc = 0.0, sl = 0.0, es = 0.0, el = 0.0;
             for (std::size_t i = 0; i < mix.size(); ++i) {
                 sc += sync_scalar_pass(mix[i], sync_vecs[i], &scalar_sink);
                 sl += sync_lane_pass(mix[i], sync_blocks[i], &lane_sink);
                 es += pl_serial_pass(mix[i]);
-                el += pl_lane_pass(mix[i], sim::sim_options{});
-                ef += pl_lane_pass(mix[i], fork_options());
-                er += pl_lane_pass(mix[i], replay_baseline_options());
+                el += pl_lane_pass(mix[i]);
             }
             sync_scalar_ms = std::min(sync_scalar_ms, sc);
             sync_lane_ms = std::min(sync_lane_ms, sl);
             pl_serial_ms = std::min(pl_serial_ms, es);
             pl_lane_ms = std::min(pl_lane_ms, el);
-            pl_fork_ms = std::min(pl_fork_ms, ef);
-            pl_replay_ms = std::min(pl_replay_ms, er);
         }
         // Keep the per-vector output reads observable so the timed passes
         // cannot be optimized away.
@@ -704,28 +580,24 @@ int main(int argc, char** argv) {
         const double sync_lane_vps = vps(total_sync_vectors, sync_lane_ms);
         const double pl_serial_vps = vps(total_pl_vectors, pl_serial_ms);
         const double pl_lane_vps = vps(total_pl_vectors, pl_lane_ms);
-        const double pl_fork_vps = vps(total_pl_vectors, pl_fork_ms);
-        const double pl_replay_vps = vps(total_pl_vectors, pl_replay_ms);
         const double sync_speedup =
             sync_scalar_vps > 0.0 ? sync_lane_vps / sync_scalar_vps : 0.0;
         const double pl_speedup =
             pl_serial_vps > 0.0 ? pl_lane_vps / pl_serial_vps : 0.0;
-        const double pl_fork_speedup =
-            pl_serial_vps > 0.0 ? pl_fork_vps / pl_serial_vps : 0.0;
-        const double pl_replay_speedup =
-            pl_serial_vps > 0.0 ? pl_replay_vps / pl_serial_vps : 0.0;
         std::printf("\nlanes row (%zu lanes, %zu vectors/circuit on the sync "
                     "path, best of %d):\n",
                     sim::k_lanes, lane_vectors, repeat);
         std::printf("  sync golden path: scalar %.0f vec/s, lane %.0f vec/s "
                     "= %.1fx\n",
                     sync_scalar_vps, sync_lane_vps, sync_speedup);
-        std::printf("  pl event engine : serial %.0f vec/s, vector %.0f "
-                    "vec/s = %.1fx, fork %.0f vec/s = %.1fx, replay %.0f "
-                    "vec/s = %.1fx, lockstep(fork) %.3f\n\n",
-                    pl_serial_vps, pl_lane_vps, pl_speedup, pl_fork_vps,
-                    pl_fork_speedup, pl_replay_vps, pl_replay_speedup,
-                    fork_arm.lockstep_fraction());
+        std::printf("  pl sweep        : serial %.0f vec/s, lane %.0f vec/s "
+                    "= %.1fx\n\n",
+                    pl_serial_vps, pl_lane_vps, pl_speedup);
+        if (pl_speedup < 1.0) {
+            std::printf("WARNING: the lane sweep does not pay on this mix: "
+                        "%.2fx the serial sweep's vectors/s\n\n",
+                        pl_speedup);
+        }
         {
             report::json j = report::json::object();
             j.set("workload", report::json::str("lanes"));
@@ -742,27 +614,9 @@ int main(int argc, char** argv) {
                   report::json::number(pl_serial_vps));
             j.set("pl_lane_vectors_per_s", report::json::number(pl_lane_vps));
             j.set("pl_speedup", report::json::number(pl_speedup));
-            j.set("pl_lane_fork_vectors_per_s",
-                  report::json::number(pl_fork_vps));
-            j.set("pl_fork_speedup", report::json::number(pl_fork_speedup));
-            j.set("pl_lane_replay_vectors_per_s",
-                  report::json::number(pl_replay_vps));
-            j.set("pl_replay_speedup",
-                  report::json::number(pl_replay_speedup));
             j.set("lane_splits",
                   report::json::number(
                       static_cast<std::int64_t>(lanes.lane_splits)));
-            j.set("lane_forks",
-                  report::json::number(
-                      static_cast<std::int64_t>(fork_arm.lane_forks)));
-            j.set("lane_runs_fork",
-                  report::json::number(
-                      static_cast<std::int64_t>(fork_arm.lane_runs)));
-            j.set("lane_runs_replay",
-                  report::json::number(
-                      static_cast<std::int64_t>(replay_runs)));
-            j.set("lockstep_fraction_fork",
-                  report::json::number(fork_arm.lockstep_fraction()));
             rows.push(std::move(j));
         }
 
@@ -815,8 +669,6 @@ int main(int argc, char** argv) {
             doc.set("lanes", report::json::number(
                                  static_cast<std::int64_t>(sim::k_lanes)));
             doc.set("sync_lane_speedup", report::json::number(sync_speedup));
-            doc.set("lockstep_fraction",
-                    report::json::number(lanes.lockstep_fraction()));
             // Full bucket dumps so cross-PR tooling can diff the whole
             // distributions, not just the summary quantiles.
             doc.set("delay_hist_no_ee_ns",

@@ -9,7 +9,7 @@
 // consumer/kind arrays so `place` never touches pl_edge records either.
 //
 // The flattening is purely structural (no per-run state) and is shared by
-// the wave sweep and the lane engine of sim::pl_simulator and by the firing
+// the scalar and 64-lane wave sweeps of sim::pl_simulator and by the firing
 // schedule analysis (pl_schedule.hpp); it is equally usable by any other
 // pass that walks PL adjacency at scale.
 

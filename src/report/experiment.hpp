@@ -70,9 +70,6 @@ struct experiment_row {
     /// Vectors measured across both runs — with sim_wall_ms this tracks
     /// measurement vectors/s per circuit.
     std::size_t vectors_measured = 0;
-    /// Lane mode: run-merging fraction across both measurements (see
-    /// measure_result::lockstep_fraction); 1.0 when lanes == 1.
-    double lockstep_fraction = 1.0;
     /// Per-vector completion-time distributions (integer picoseconds; see
     /// measure_result::delay_hist).  Empty when telemetry was off.
     obs::hist_snapshot delay_hist_no_ee;

@@ -43,7 +43,7 @@ namespace plee::runner {
 /// hence BENCH_fleet.json).  Artifacts without the field predate versioning
 /// (read them as version 0); bump this on any breaking shape change.  See
 /// docs/schemas.md.
-inline constexpr int k_fleet_schema_version = 2;
+inline constexpr int k_fleet_schema_version = 3;
 
 /// One circuit to push through the pipeline.
 struct fleet_job {
@@ -161,9 +161,6 @@ struct fleet_result {
     std::uint64_t total_sim_events = 0;
     /// Vectors measured across the succeeded jobs (both measurements each).
     std::size_t total_vectors = 0;
-    /// Vector-weighted mean lockstep fraction over the succeeded lane-mode
-    /// jobs (1.0 when no job ran lanes, or every block stayed lockstep).
-    double lockstep_fraction = 1.0;
     /// Summed per-job event-simulation wall time (ms).  Unlike wall_ms this
     /// excludes synthesis/mapping/EE-search, so events/s measures the
     /// simulator engine itself.

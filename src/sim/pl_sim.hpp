@@ -21,10 +21,10 @@
 // that can hold two tokens (safety violation) or a deadlock before the run
 // completes (liveness violation) raises an error.
 //
-// ## Two scalar engines
+// ## Two engines
 //
 // The simulator is the dominant per-circuit cost of a fleet job (the measure
-// phase dwarfs the EE phase), so run / run_packed exist twice behind
+// phase dwarfs the EE phase), so every entry point exists twice behind
 // sim_options::queue:
 //
 //  * queue_kind::calendar (default) — the throughput engine, a static
@@ -58,41 +58,25 @@
 //
 // ## Lane-parallel mode (run_lanes)
 //
-// run_lanes packs 64 independent single-vector simulations into one engine
-// pass: every data token carries a 64-bit value word (bit L = lane L's
-// value), LUT and trigger evaluation run through the mux-tree word kernel
-// bf::truth_table::eval_word_lanes, and one calendar event serves all lanes.
-// Token *values* are timing-independent in a marked graph (every gate fires
-// exactly once per wave whatever the delays), so the value words are correct
-// for all 64 lanes unconditionally; only the *times* can diverge, and the
-// single place they can is an EE master whose efire token differs across
-// lanes (early vs normal output path) with the early path actually faster.
-// What happens at such a divergence is the lane_split_policy:
-//
-//  * vector (default) — never split: token times are themselves
-//    order-independent in a marked graph (each is a max/min recurrence over
-//    its input tokens' times), so the divergent cone simply carries one
-//    time per lane (a 64-double slab entry per edge) while everything
-//    upstream and reconverged keeps a shared scalar time.  All 64 lanes
-//    finish in one pass whatever the stimulus.
-//  * fork — the mask splits, the majority keeps the pass, and the minority
-//    branch's state at the split point (pending calendar deposits, present
-//    tokens, per-gate firing counts, per-pass EE counters) is checkpointed
-//    into a bounded fork record and later *resumes from the split* instead
-//    of replaying the shared prefix.  A configurable byte budget degrades
-//    gracefully to replay under split storms.
-//  * replay — the PR 7 baseline: the minority lanes restart from t = 0.
-//
-// Independently, trigger-aware grouping (sim_options::lane_group) runs an
-// untimed value-only prepass over the packed stimulus before simulating,
-// partitions the lanes by their predicted efire words at the first masters
-// that disagree, and gives each predicted-coherent group its own pass — so
-// most splits never happen at all.  Each retained lane's result is
-// bit-identical to a serial run({vector}) of that lane under every policy
-// combination (asserted by tests/test_lane_sim.cpp over every workload
-// preset and ITC99 b01-b10).  Circuits without EE (or with unanimous
-// triggers) never split: one pass serves all 64 lanes.  See
-// src/sim/README.md for the full contract.
+// run_lanes packs 64 independent single-vector simulations into one pass:
+// every data token carries a 64-bit value word (bit L = lane L's value), and
+// LUT and trigger evaluation run through the mux-tree word kernel
+// bf::truth_table::eval_word_lanes.  Under queue_kind::calendar the pass is
+// the wave sweep with one wave: each gate fires once, in the same firing
+// order, with the same structural safety check and the same budget, cancel
+// and deadlock handling.  Token values are timing-independent, so the value
+// words are right for every lane.  Token times obey the same max/min
+// recurrence per lane; they stay one shared scalar until an EE master's
+// mixed efire word lets some lanes take the early path, and from there a
+// firing whose per-lane times differ writes them once into a 64-double slab
+// (one for its data outputs, one for its acks) that its out-edges point
+// to.  A deposit onto a marked edge lands behind the initial token, which
+// is all a one-wave run reads there, so it is counted but not stored.
+// Lane L of the result is bit-identical to a serial run({vector L})
+// (asserted by tests/test_lane_sim.cpp over every workload preset and ITC99
+// b01-b10, plain and EE'd, under four delay models).  Under
+// queue_kind::binary_heap run_lanes makes 64 serial run() calls instead:
+// the lane oracle.  See src/sim/README.md.
 
 #pragma once
 
@@ -108,7 +92,6 @@
 #include "plogic/pl_netlist.hpp"
 #include "plogic/pl_schedule.hpp"
 #include "rt/cancel.hpp"
-#include "sim/calendar_queue.hpp"
 #include "sim/delay_model.hpp"
 #include "sim/stimulus.hpp"
 
@@ -118,23 +101,9 @@ namespace plee::sim {
 /// only throughput differs.
 enum class queue_kind : std::uint8_t {
     binary_heap,  ///< oracle: std::push_heap event loop over deposit structs
-    /// The throughput engines (default): the wave sweep for run/run_packed,
-    /// the calendar-queue lane engine for run_lanes.
+    /// The throughput engine (default): the wave sweep, over every wave for
+    /// run/run_packed and over one wave of 64-bit words for run_lanes.
     calendar,
-};
-
-/// What run_lanes does when an EE master's mixed efire word makes lane
-/// timing diverge.  Results are bit-identical under every policy; only the
-/// work to produce them differs (vector widens token times in place, fork
-/// resumes from the split point, replay restarts from t = 0).
-enum class lane_split_policy : std::uint8_t {
-    /// Never split: token times are widened to one time per lane on the
-    /// divergent cone, so all 64 lanes finish in a single pass (default).
-    /// Exact because marked-graph token times obey an order-independent
-    /// max/min recurrence, just like token values.
-    vector,
-    fork,    ///< checkpoint at the split, resume the minority branch
-    replay,  ///< defer the minority to its own from-t0 pass (PR 7 baseline)
 };
 
 struct sim_options {
@@ -155,18 +124,6 @@ struct sim_options {
     std::uint64_t max_events = 100'000'000;
     /// Engine selection (see queue_kind).
     queue_kind queue = queue_kind::calendar;
-    /// Lane-engine divergence handling (see lane_split_policy).
-    lane_split_policy lane_policy = lane_split_policy::vector;
-    /// Trigger-aware lane grouping: before each run_lanes block, an untimed
-    /// value-only prepass predicts every EE master's efire word and the
-    /// block's lanes are partitioned into groups that agree on the first
-    /// masters that disagree, each group getting its own pass.  Prediction
-    /// only — a wrong or truncated grouping still splits/forks correctly.
-    bool lane_group = true;
-    /// Upper bound on the bytes held by pending fork records.  A split that
-    /// would exceed it degrades to the replay policy for that branch, so
-    /// split storms stay memory-bounded.  Ignored under lane_policy::replay.
-    std::size_t lane_fork_budget_bytes = std::size_t{32} << 20;
     /// Circuit/job label embedded in every typed simulator failure, so fleet
     /// logs can attribute a throw to its job ("b05", "datapath-like/3#2").
     std::string label;
@@ -186,11 +143,6 @@ const char* to_string(queue_kind kind);
 /// Accepts "heap" / "binary_heap" and "calendar"; throws
 /// std::invalid_argument for anything else.
 queue_kind queue_kind_from_string(const std::string& name);
-
-const char* to_string(lane_split_policy policy);
-/// Accepts "vector", "fork" and "replay"; throws std::invalid_argument
-/// otherwise.
-lane_split_policy lane_split_policy_from_string(const std::string& name);
 
 /// One recorded token arrival (collect_trace mode).
 struct trace_event {
@@ -236,22 +188,12 @@ struct sim_run_stats {
     // Lane-engine telemetry (zero for scalar runs).
     std::uint64_t lane_blocks = 0;   ///< stimulus blocks simulated
     std::uint64_t lane_vectors = 0;  ///< vectors (occupied lanes) simulated
-    /// From-t0 engine passes: predicted groups plus replayed branches (1 =
-    /// pure lockstep).  Fork resumes are *not* runs — they continue a pass.
+    /// Engine passes: 1 per block for the lane sweep, one per vector for
+    /// the serial fallback.
     std::uint64_t lane_runs = 0;
-    std::uint64_t lane_splits = 0;   ///< divergence events (mask partitions)
-    /// Minority branches checkpointed at the split and resumed mid-stream
-    /// (each one is a from-t0 replay avoided).
-    std::uint64_t lane_forks = 0;
-    /// Groups the trigger prepass predicted for this block (>= 1).
-    std::uint64_t lane_groups = 0;
-    /// Minority branches deferred to a from-t0 replay: policy::replay
-    /// splits, plus fork-budget overflows.
-    std::uint64_t lane_replays = 0;
-    /// Deepest nesting of fork records reached (a fork of a fork = 2).
-    std::uint64_t lane_fork_depth_max = 0;
-    /// High-water mark of bytes held by pending fork records.
-    std::uint64_t lane_fork_bytes_peak = 0;
+    /// EE master firings whose mixed efire word made lane times diverge
+    /// (the early path won on some lanes but not all).
+    std::uint64_t lane_splits = 0;
 };
 
 /// Result of one lane-parallel block run: per-lane measurements plus the
@@ -265,9 +207,8 @@ struct lane_block_result {
     /// Per-lane release time — when the environment could present the
     /// lane's inputs.  Every lane is an independent single-vector run from
     /// reset, so this is 0.0 today, but delay() subtracts it (mirroring
-    /// wave_record::delay) rather than assuming it: a pass that resumes
-    /// from a fork checkpoint keeps absolute times, and any future nonzero
-    /// release epoch must not silently inflate the reported delay.
+    /// wave_record::delay) rather than assuming it, so a future nonzero
+    /// release epoch cannot silently inflate the reported delay.
     std::array<double, k_lanes> release{};
     /// The paper's per-vector delay for lane L, measured exactly like the
     /// scalar wave_record::delay(): stable output minus release.
@@ -294,27 +235,18 @@ public:
     std::vector<wave_record> run_packed(const std::vector<stimulus_block>& blocks);
 
     /// Lane-parallel mode: simulates every occupied lane of `block` as an
-    /// independent single-vector run from reset, all lanes advancing through
-    /// one event stream while their schedules agree (see the header comment
-    /// for the lockstep/divergence contract).  Lane L of the result is
-    /// bit-identical to run({vector L}).  stats() afterwards covers the
-    /// whole block: events/firings count engine work, ee_* count per-lane
-    /// semantics, lane_runs tells how many passes the block needed.
-    /// Requires options.collect_trace == false (throws std::invalid_argument
-    /// — per-lane waveforms would need 64 scalar runs anyway).  Netlists
-    /// that do not fit the calendar layout, and the binary_heap engine
-    /// selection, fall back to 64 scalar runs internally.
+    /// independent single-vector run from reset, all lanes in one one-wave
+    /// sweep (see the header comment).  Lane L of the result is
+    /// bit-identical to run({vector L}); output bits of unoccupied lanes are
+    /// 0.  stats() afterwards covers the whole block: events/firings count
+    /// engine work, ee_* count per-lane semantics.  Throws the typed
+    /// failures of run().  Requires options.collect_trace == false (throws
+    /// std::invalid_argument — per-lane waveforms would need 64 scalar runs
+    /// anyway).  The binary_heap engine selection runs 64 serial run()
+    /// calls instead (the lane oracle).
     lane_block_result run_lanes(const stimulus_block& block);
 
     const sim_run_stats& stats() const { return stats_; }
-
-    /// Resumed fork branches by divergence depth (index d = the d-th nested
-    /// split of one pass; index 0 unused), accumulated across every
-    /// run_lanes call since construction.  Feeds the sim.lane_fork_depth
-    /// histogram in the measure telemetry flush.
-    const std::array<std::uint64_t, k_lanes + 1>& fork_depth_counts() const {
-        return fork_depth_counts_;
-    }
 
     /// Data-token arrivals recorded by the last run (empty unless
     /// options.collect_trace): in pop order under the heap engine, in
@@ -337,6 +269,10 @@ private:
         std::uint8_t num_data = 0;        ///< LUT operand count (<= 8)
         std::uint8_t trig_pin_count = 0;  ///< master: trigger support size
         bool const_value = false;
+        /// Has a token-free data / ack out-edge: one a one-wave lane sweep
+        /// reads (a deposit onto a marked edge lands behind its token).
+        bool free_data_out = false;
+        bool free_ack_out = false;
         std::uint32_t in_begin = 0, in_end = 0;    ///< topo_.in_flat range
         std::uint32_t data_begin = 0;              ///< topo_.data_flat offset
         std::uint32_t out_begin = 0, out_end = 0;  ///< topo_.out_flat range
@@ -355,6 +291,17 @@ private:
     std::string deadlock_diagnostic() const;
 
     // --- Reference engine (binary heap, AoS token slots) -------------------
+    /// One scheduled token deposit, ordered by (time, seq).
+    struct deposit {
+        double time = 0.0;
+        std::uint64_t seq = 0;
+        pl::edge_id edge = pl::k_invalid_edge;
+        bool value = false;
+        /// Heap comparator: std::greater<> over (time, seq).
+        bool operator>(const deposit& o) const {
+            return time != o.time ? time > o.time : seq > o.seq;
+        }
+    };
     void run_heap();
     void schedule(pl::edge_id edge, bool value, double time);
     void place(pl::edge_id edge, bool value, double time);
@@ -373,91 +320,30 @@ private:
     void prepare_sweep();
     bool sweep_ready(pl::gate_id g, std::size_t wave) const;
     void sweep_poll(std::uint64_t& events, std::uint64_t after,
-                    std::uint64_t& next_check);
+                    std::uint64_t& next_check, const char* engine);
 
-    // --- Lane engine (calendar queue, 64-bit value words per token) --------
-    /// One present token of a fork checkpoint (sparse over the presence
-    /// bitset): timing state plus the value word — values are
-    /// timing-independent, but copying the 8 bytes alongside keeps the
-    /// record self-contained and restore allocation-free.
-    struct lane_fork_token {
-        pl::edge_id edge = pl::k_invalid_edge;
-        std::uint64_t value = 0;
+    // --- Lane sweep (one wave, 64-bit value words per token) --------------
+    /// One token of the lane sweep.  A one-wave run reads each edge once:
+    /// the initial token of a marked edge, the producer's only deposit on a
+    /// token-free edge.  So one slot per edge suffices.
+    struct lane_token {
+        std::uint64_t word = 0;  ///< bit L = lane L's value
+        /// Every lane's time when slab == 0; 0 otherwise, so a max from 0
+        /// over token times yields the shared part.
         double time = 0.0;
+        /// 0 = one shared time; else lane_times(slab) holds the 64 times.
+        std::uint32_t slab = 0;
     };
-    /// One pending calendar deposit of a fork checkpoint: the packed event
-    /// plus its lane payload word (the cal_event key has no room for it).
-    struct lane_fork_deposit {
-        cal_event event;
-        std::uint64_t word = 0;
-    };
-    /// Checkpoint of the minority branch of one mixed-efire split: enough
-    /// pass state to resume simulating those lanes from the split point
-    /// instead of t = 0.  Per-gate pending counters are not stored — they
-    /// are re-derived from the present-token set (pending[g] ==
-    /// in_count[g] - present in-edges, an engine invariant).
-    struct lane_fork_record {
-        std::uint64_t mask = 0;     ///< lanes this branch owns
-        std::uint32_t depth = 0;    ///< nested splits since the pass started
-        std::size_t footprint = 0;  ///< bytes charged to the fork budget
-        std::uint64_t next_seq = 0;
-        double input_stable = 0.0;
-        double output_stable = 0.0;
-        std::size_t sinks_pending = 0;
-        std::uint64_t hits = 0, misses = 0, wins = 0;  ///< per-pass EE state
-        /// Per-lane hit/miss counts from mixed-but-non-diverging efire words
-        /// (early >= normal): those words never split, so their EE outcome
-        /// differs per lane within one pass and can't ride the scalar
-        /// counters above.
-        std::array<std::uint32_t, k_lanes> mixed_hits{};
-        std::array<std::uint32_t, k_lanes> mixed_misses{};
-        std::vector<std::uint32_t> fired_waves;        ///< per gate
-        std::vector<lane_fork_token> tokens;
-        std::vector<lane_fork_deposit> deposits;
-        /// The split master's own emission: its inputs are already consumed
-        /// but its outputs are unscheduled, and t_out is the one quantity
-        /// the branches disagree on (the minority is uniform by
-        /// construction, so its output path is already decided here).
-        pl::gate_id split_gate = pl::k_invalid_gate;
-        std::uint64_t split_value = 0;
-        double split_t_out = 0.0;
-        double split_t_ack = 0.0;
-
-        std::size_t bytes() const {
-            return sizeof(lane_fork_record) +
-                   fired_waves.capacity() * sizeof(std::uint32_t) +
-                   tokens.capacity() * sizeof(lane_fork_token) +
-                   deposits.capacity() * sizeof(lane_fork_deposit);
-        }
-    };
-
-    void run_lane_pass(std::uint64_t mask, lane_block_result& result);
-    void run_lane_fork(lane_block_result& result);
-    void run_lane_events();
-    void commit_lane_pass(lane_block_result& result);
-    void defer_minority(pl::gate_id g, std::uint64_t minority,
-                        std::uint64_t efire_word, std::uint64_t value,
-                        double t_ready, double t_data, double efire_time);
-    void plan_lane_groups(const stimulus_block& block);
-    void schedule_lanes(std::uint64_t tick, double time, pl::edge_id edge,
-                        std::uint64_t word);
-    void place_lanes(pl::edge_id edge, double time);
-    void try_fire_lanes(pl::gate_id g);
-    template <bool Vec>
-    void try_fire_lanes_impl(pl::gate_id g);
-    void fire_source_lanes(pl::gate_id g);
-    void record_sink_lanes(pl::gate_id g);
-    // Vector-time variants (lane_split_policy::vector): same firing rules,
-    // but a token's time is per-lane wherever the EE cone made it diverge.
-    void try_fire_lanes_vec(pl::gate_id g);
-    void record_sink_lanes_vec(pl::gate_id g);
-    void schedule_lanes_vec(pl::edge_id edge, std::uint64_t word,
-                            const double* times);
-    void gather_times_vec(const pl::edge_id* edges, std::uint32_t begin,
-                          std::uint32_t end, double* out) const;
-    bool edge_time_varies(pl::edge_id e) const {
-        return (lane_time_varies_[e >> 6] >> (e & 63)) & 1u;
+    void run_lane_sweep(const stimulus_block& block, lane_block_result& result);
+    const double* lane_times(std::uint32_t slab) const {
+        return lane_slabs_.data() + std::size_t{slab - 1} * k_lanes;
     }
+    /// out[L] = the max of `floor` and lane L's time on every slab token of
+    /// edges[begin, end).
+    void gather_lane_times(const pl::edge_id* edges, std::uint32_t begin,
+                           std::uint32_t end, double floor, double* out) const;
+    /// Room for two slabs at the arena's end; returns the first.
+    double* next_lane_slabs();
 
     /// Wave k's value of source slot `slot`: lane (k & 63) of block (k >> 6).
     bool stim_bit(std::size_t wave, std::uint32_t slot) const {
@@ -472,7 +358,6 @@ private:
     pl::flat_topology topo_;
     std::vector<gate_desc> desc_;
     std::vector<std::uint32_t> in_count_;  ///< per gate: |in_edges|
-    std::size_t num_masters_ = 0;          ///< gates with an efire input
 
     // Per-run state — reference engine.
     std::vector<token_slot> tokens_;  ///< per edge (AoS)
@@ -497,42 +382,12 @@ private:
     std::vector<std::uint32_t> fired_waves_;  ///< per gate: completed firings
     std::uint64_t next_seq_ = 0;
 
-    // Per-run state — lane engine.
-    std::vector<std::uint64_t> tok_present_;  ///< presence bitset, per edge
-    std::vector<double> tok_time_;            ///< arrival time, per edge
-    calendar_queue calendar_;
-    std::vector<std::uint64_t> lane_value_;     ///< per edge: lane-packed value
-    std::vector<std::uint64_t> lane_sched_;     ///< per edge: in-flight value word
-    std::vector<std::uint64_t> lane_inflight_;  ///< bitset: deposit scheduled
-    std::uint64_t lane_mask_ = 0;               ///< lanes this pass simulates
-    std::vector<std::uint64_t> lane_deferred_;  ///< masks awaiting a t0 pass
-    const stimulus_block* lane_block_ = nullptr;
-    std::vector<std::uint64_t> lane_sink_words_;  ///< per sink, this pass
-    std::uint64_t lane_hits_ = 0;    ///< per-pass EE counters, committed at
-    std::uint64_t lane_misses_ = 0;  ///< pass end x the lanes the pass kept
-    std::uint64_t lane_wins_ = 0;
-    /// Per-lane EE counts from mixed non-diverging efire words (see
-    /// lane_fork_record::mixed_hits) — committed per kept lane at pass end.
-    std::array<std::uint32_t, k_lanes> lane_mixed_hits_{};
-    std::array<std::uint32_t, k_lanes> lane_mixed_misses_{};
-    std::uint32_t lane_depth_ = 0;   ///< fork depth of the current pass
-    std::vector<lane_fork_record> lane_forks_;  ///< LIFO: branches to resume
-    std::vector<lane_fork_record> lane_fork_pool_;  ///< retired records, for
-                                                    ///< allocation-free reuse
-    // Vector-time pass state (lane_split_policy::vector).
-    bool lane_vec_ = false;          ///< current pass carries per-lane times
-    std::vector<double> lane_time_;  ///< per edge x lane: divergent-cone times
-    std::vector<std::uint64_t> lane_time_varies_;  ///< bitset: slab is live
-    std::array<double, k_lanes> output_stable_lane_{};
-    std::size_t lane_fork_bytes_ = 0;  ///< bytes held by lane_forks_
-    std::vector<cal_event> cal_scratch_;  ///< snapshot/restore staging
-    std::array<std::uint64_t, k_lanes + 1> fork_depth_counts_{};
-    // Trigger-prepass scratch (value-only dataflow, no times, no queue).
-    std::vector<std::uint64_t> pre_value_;      ///< per edge: value word
-    std::vector<std::uint32_t> pre_pending_;    ///< per gate
-    std::vector<std::uint32_t> pre_fired_;      ///< per gate
-    std::vector<pl::gate_id> pre_worklist_;
-    std::vector<std::uint64_t> group_masks_;    ///< planned per-group masks
+    // Per-run state — lane sweep.
+    std::vector<lane_token> lane_tokens_;  ///< per edge
+    /// Slab arena: 64 times per slab, at most one data and one ack slab per
+    /// firing; lane_slab_end_ marks its used part.
+    std::vector<double> lane_slabs_;
+    std::size_t lane_slab_end_ = 0;
 
     std::vector<trace_event> trace_;
     const stimulus_block* stim_ = nullptr;  ///< sequential-wave stimulus

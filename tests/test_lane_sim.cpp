@@ -1,13 +1,17 @@
 // Tests for the 64-lane word-parallel simulation mode: the sync golden
-// model's lane kernel, the PL event engine's run_lanes (lockstep, divergence
-// splits, stats accounting, heap fallback), the lane-packed stimulus, and
-// the lanes=64 measurement path.  The contract under test everywhere: lane L
-// is bit-identical to a scalar/serial run of lane L's vector alone.
+// model's lane kernel, the PL lane sweep behind run_lanes (a differential
+// matrix against serial run(), divergent lane times, the typed failures,
+// stats accounting, the heap fallback), the lane-packed stimulus, and the
+// lanes=64 measurement path.  The contract under test everywhere: lane L is
+// bit-identical to a scalar/serial run of lane L's vector alone, and the
+// output bits of unoccupied lanes are 0.
 
 #include <algorithm>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,7 +19,10 @@
 #include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
 #include "netlist/sync_sim.hpp"
+#include "obs/flight_recorder.hpp"
 #include "plogic/pl_mapper.hpp"
+#include "rt/cancel.hpp"
+#include "rt/errors.hpp"
 #include "sim/errors.hpp"
 #include "sim/measure.hpp"
 #include "sim/pl_sim.hpp"
@@ -52,7 +59,9 @@ built_circuit build_bench(const std::string& id, bool with_ee) {
 /// The shared oracle: run_lanes over every block must reproduce, lane for
 /// lane, a serial single-vector run — sink values, input/output stable
 /// times — and the summed EE counters of the lane runs must equal the
-/// summed counters of the serial runs.
+/// summed counters of the serial runs.  One pass serves each block, its
+/// word-events and firings equal any one serial run's (every gate fires
+/// once per vector), and unoccupied lanes' output bits are 0.
 void expect_lanes_match_serial(const pl::pl_netlist& plnl, std::uint64_t seed,
                                std::size_t count, sim_options opts = {},
                                std::uint64_t* splits_out = nullptr) {
@@ -69,7 +78,10 @@ void expect_lanes_match_serial(const pl::pl_netlist& plnl, std::uint64_t seed,
         const sim_run_stats& ls = lane_sim.stats();
         EXPECT_EQ(ls.lane_blocks, 1u);
         EXPECT_EQ(ls.lane_vectors, block.num_vectors);
-        EXPECT_GE(ls.lane_runs, 1u);
+        EXPECT_EQ(ls.lane_runs, 1u);
+        for (std::size_t j = 0; j < lr.outputs.size(); ++j) {
+            EXPECT_EQ(lr.outputs[j] & ~block.lane_mask(), 0u) << "sink " << j;
+        }
         lane_total.ee_hits += ls.ee_hits;
         lane_total.ee_misses += ls.ee_misses;
         lane_total.ee_wins += ls.ee_wins;
@@ -79,15 +91,17 @@ void expect_lanes_match_serial(const pl::pl_netlist& plnl, std::uint64_t seed,
             const std::vector<wave_record> waves = ref.run(one);
             ASSERT_EQ(waves.size(), 1u);
             const sim_run_stats& rs = ref.stats();
+            EXPECT_EQ(ls.events, rs.events) << "lane " << lane;
+            EXPECT_EQ(ls.firings, rs.firings) << "lane " << lane;
             ref_total.ee_hits += rs.ee_hits;
             ref_total.ee_misses += rs.ee_misses;
             ref_total.ee_wins += rs.ee_wins;
             const wave_record& w = waves.front();
-            EXPECT_DOUBLE_EQ(lr.input_stable[lane], w.input_stable)
-                << "lane " << lane;
-            EXPECT_DOUBLE_EQ(lr.output_stable[lane], w.output_stable)
-                << "lane " << lane;
-            EXPECT_DOUBLE_EQ(lr.delay(lane), w.delay()) << "lane " << lane;
+            // Exact, not within ULPs: the lane sweep does the serial
+            // run's arithmetic lane by lane.
+            EXPECT_EQ(lr.input_stable[lane], w.input_stable) << "lane " << lane;
+            EXPECT_EQ(lr.output_stable[lane], w.output_stable) << "lane " << lane;
+            EXPECT_EQ(lr.delay(lane), w.delay()) << "lane " << lane;
             ASSERT_EQ(lr.outputs.size(), w.outputs.size());
             for (std::size_t j = 0; j < w.outputs.size(); ++j) {
                 EXPECT_EQ(((lr.outputs[j] >> lane) & 1u) != 0, w.outputs[j])
@@ -175,28 +189,64 @@ TEST(SyncLanes, MatchesScalarOverMultiCycleTrajectories) {
     }
 }
 
-// --- PL event engine: run_lanes vs serial --------------------------------
+// --- PL lane sweep: run_lanes vs serial run() ----------------------------
 
-TEST(LaneSim, MatchesSerialAcrossWorkloadPresets) {
+/// The differential matrix's delay models (as in test_sim_queue): the
+/// default, all-zero (every token at t = 0), all-equal ties, and an
+/// irregular one where no two components are equal.
+std::vector<std::pair<std::string, delay_model>> delay_models() {
+    delay_model zero;
+    zero.d_celem = zero.d_lut = zero.d_latch = zero.d_ee_penalty =
+        zero.d_source = 0.0;
+    delay_model ties;
+    ties.d_celem = ties.d_lut = ties.d_latch = ties.d_ee_penalty =
+        ties.d_source = 1.0;
+    delay_model irregular;
+    irregular.d_celem = 0.3;
+    irregular.d_lut = 0.7;
+    irregular.d_latch = 0.2;
+    irregular.d_ee_penalty = 0.9;
+    irregular.d_source = 0.05;
+    return {{"default", delay_model{}},
+            {"zero", zero},
+            {"ties", ties},
+            {"irregular", irregular}};
+}
+
+/// One netlist through every delay model, with a full block and partial
+/// blocks of 1, 37 and 63 vectors.
+void expect_matrix_matches_serial(const pl::pl_netlist& plnl,
+                                  std::uint64_t seed) {
+    for (const auto& [name, delays] : delay_models()) {
+        SCOPED_TRACE(name);
+        sim_options opts;
+        opts.delays = delays;
+        for (const std::size_t count : {1u, 37u, 63u, 64u}) {
+            SCOPED_TRACE(count);
+            expect_lanes_match_serial(plnl, seed + count, count, opts);
+        }
+    }
+}
+
+TEST(LaneSweep, DifferentialAgainstSerialOnWorkloadPresets) {
     for (const wl::scenario kind : wl::all_scenarios()) {
         SCOPED_TRACE(wl::to_string(kind));
         for (const bool with_ee : {false, true}) {
             SCOPED_TRACE(with_ee ? "ee" : "plain");
             const built_circuit c = build_preset(kind, 80, 5, with_ee);
-            expect_lanes_match_serial(c.pl, /*seed=*/0xfeedu + with_ee,
-                                      /*count=*/64);
+            expect_matrix_matches_serial(c.pl, /*seed=*/0xfeedu + with_ee);
         }
     }
 }
 
-TEST(LaneSim, MatchesSerialOnItc99) {
+TEST(LaneSweep, DifferentialAgainstSerialOnItc99) {
     for (const char* id : {"b01", "b02", "b03", "b04", "b05", "b06", "b07",
                            "b08", "b09", "b10"}) {
         SCOPED_TRACE(id);
         for (const bool with_ee : {false, true}) {
             SCOPED_TRACE(with_ee ? "ee" : "plain");
             const built_circuit c = build_bench(id, with_ee);
-            expect_lanes_match_serial(c.pl, /*seed=*/0xb10cu, /*count=*/64);
+            expect_matrix_matches_serial(c.pl, /*seed=*/0xb10cu);
         }
     }
 }
@@ -221,32 +271,15 @@ sim_options tie_delay_options() {
 }
 
 TEST(LaneSim, DivergenceSplitsStayBitIdentical) {
-    // Under the default (vector) policy a divergent efire word widens the
-    // emission to per-lane times instead of splitting; with tie delays and
-    // EE applied the 64 lanes must actually exercise that path.
+    // A divergent efire word gives the master's outputs per-lane times (a
+    // slab) instead of one shared time; with tie delays and EE applied the
+    // 64 lanes must actually exercise that path.
     sim_options opts = tie_delay_options();
     std::uint64_t splits = 0;
     const built_circuit c =
         build_preset(wl::scenario::datapath_like, 120, 11, true);
     expect_lanes_match_serial(c.pl, /*seed=*/23, /*count=*/64, opts, &splits);
     EXPECT_GT(splits, 0u);
-}
-
-TEST(LaneSim, VectorPolicyNeverForksOrReplays) {
-    // The vector default runs exactly one pass per block: divergence is
-    // absorbed by the per-lane time slab, never by forking or replaying.
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 120, 11, true);
-    const std::vector<stimulus_block> blocks =
-        make_stimulus(64, c.pl.sources().size(), 23);
-    pl_simulator simulator(c.pl, tie_delay_options());
-    simulator.run_lanes(blocks.front());
-    const sim_run_stats& s = simulator.stats();
-    EXPECT_GT(s.lane_splits, 0u);  // divergence genuinely happened...
-    EXPECT_EQ(s.lane_runs, 1u);    // ...yet one pass served all 64 lanes
-    EXPECT_EQ(s.lane_forks, 0u);
-    EXPECT_EQ(s.lane_replays, 0u);
-    EXPECT_EQ(s.lane_fork_bytes_peak, 0u);
 }
 
 // --- Satellite regressions: lane accounting ------------------------------
@@ -326,90 +359,7 @@ TEST(LaneSim, HeapFallbackCommitsStatsBeforeBudgetThrow) {
     EXPECT_EQ(s.events, per_run);  // budget + the offending increment
 }
 
-// --- Split-storm suite: the scalar fork/replay machinery -----------------
-
-TEST(LaneSim, SplitStormForkStaysBitIdentical) {
-    // Explicit fork policy under adversarial tie delays: every divergent
-    // word checkpoints the minority and resumes it mid-stream, and the
-    // result must still match 64 serial runs bit for bit.
-    sim_options opts = tie_delay_options();
-    opts.lane_policy = lane_split_policy::fork;
-    opts.lane_group = false;
-    std::uint64_t splits = 0;
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 150, 29, true);
-    expect_lanes_match_serial(c.pl, /*seed=*/41, /*count=*/64, opts, &splits);
-    EXPECT_GT(splits, 0u);
-}
-
-TEST(LaneSim, SplitStormForkAccounting) {
-    // Fork must beat replay on from-t0 runs, stay within its byte budget,
-    // and agree with the vector default on every per-lane result.
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 150, 29, true);
-    const std::vector<stimulus_block> blocks =
-        make_stimulus(64, c.pl.sources().size(), 41);
-
-    sim_options fork_opts = tie_delay_options();
-    fork_opts.lane_policy = lane_split_policy::fork;
-    fork_opts.lane_group = false;
-    sim_options replay_opts = tie_delay_options();
-    replay_opts.lane_policy = lane_split_policy::replay;
-    replay_opts.lane_group = false;
-    sim_options vec_opts = tie_delay_options();
-
-    pl_simulator fork_sim(c.pl, fork_opts);
-    pl_simulator replay_sim(c.pl, replay_opts);
-    pl_simulator vec_sim(c.pl, vec_opts);
-    const lane_block_result fr = fork_sim.run_lanes(blocks.front());
-    const lane_block_result rr = replay_sim.run_lanes(blocks.front());
-    const lane_block_result vr = vec_sim.run_lanes(blocks.front());
-    const sim_run_stats& fs = fork_sim.stats();
-    const sim_run_stats& rs = replay_sim.stats();
-
-    EXPECT_GT(fs.lane_splits, 0u);
-    EXPECT_GT(fs.lane_forks, 0u);
-    EXPECT_GT(fs.lane_fork_depth_max, 0u);
-    EXPECT_LT(fs.lane_runs, rs.lane_runs);  // resumes replace from-t0 runs
-    EXPECT_LE(fs.lane_fork_bytes_peak, fork_opts.lane_fork_budget_bytes);
-
-    EXPECT_EQ(fr.outputs, rr.outputs);
-    EXPECT_EQ(fr.outputs, vr.outputs);
-    for (std::size_t lane = 0; lane < fr.num_vectors; ++lane) {
-        EXPECT_DOUBLE_EQ(fr.output_stable[lane], rr.output_stable[lane]);
-        EXPECT_DOUBLE_EQ(fr.output_stable[lane], vr.output_stable[lane]);
-        EXPECT_DOUBLE_EQ(fr.delay(lane), vr.delay(lane));
-    }
-    EXPECT_EQ(fs.ee_hits, rs.ee_hits);
-    EXPECT_EQ(fs.ee_misses, rs.ee_misses);
-    EXPECT_EQ(fs.ee_wins, rs.ee_wins);
-    EXPECT_EQ(fs.ee_hits, vec_sim.stats().ee_hits);
-    EXPECT_EQ(fs.ee_misses, vec_sim.stats().ee_misses);
-    EXPECT_EQ(fs.ee_wins, vec_sim.stats().ee_wins);
-}
-
-TEST(LaneSim, ForkBudgetOverflowDegradesToReplay) {
-    // A fork budget too small for any checkpoint forces every minority
-    // branch back to a from-t0 replay — slower, but still bit-identical.
-    sim_options opts = tie_delay_options();
-    opts.lane_policy = lane_split_policy::fork;
-    opts.lane_group = false;
-    opts.lane_fork_budget_bytes = 1;
-    std::uint64_t splits = 0;
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 120, 11, true);
-    expect_lanes_match_serial(c.pl, /*seed=*/23, /*count=*/64, opts, &splits);
-    EXPECT_GT(splits, 0u);
-
-    const std::vector<stimulus_block> blocks =
-        make_stimulus(64, c.pl.sources().size(), 23);
-    pl_simulator simulator(c.pl, opts);
-    simulator.run_lanes(blocks.front());
-    EXPECT_GT(simulator.stats().lane_replays, 0u);
-    EXPECT_EQ(simulator.stats().lane_forks, 0u);
-}
-
-TEST(LaneSim, PureLockstepWithoutEarlyEvaluation) {
+TEST(LaneSim, NoSplitsWithoutEarlyEvaluation) {
     // No EE masters -> no divergence source: one pass serves all 64 lanes.
     const built_circuit c =
         build_preset(wl::scenario::random_dag, 80, 9, false);
@@ -419,6 +369,240 @@ TEST(LaneSim, PureLockstepWithoutEarlyEvaluation) {
     simulator.run_lanes(blocks.front());
     EXPECT_EQ(simulator.stats().lane_runs, 1u);
     EXPECT_EQ(simulator.stats().lane_splits, 0u);
+}
+
+/// Divergent times reaching a token-free acknowledge: master m = a & late
+/// (early path when a = 0) feeds u, whose other input is the initial token
+/// on a marked edge from source c.  So u's ack back to c is token-free and
+/// carries m's per-lane times, c fires after u, and c's stable time and its
+/// second sink's arrival differ per lane.
+pl::pl_netlist divergent_ack_netlist() {
+    pl::pl_netlist pl;
+    const auto wire = [&](pl::gate_id from, pl::gate_id to, int pin,
+                          bool marked) {
+        pl.add_data_edge(from, to, pin, marked, false);
+        pl.add_ack_edge(to, from, !marked);
+    };
+    const bf::truth_table id = bf::truth_table::variable(1, 0);
+    const bf::truth_table and2 =
+        bf::truth_table::variable(2, 0) & bf::truth_table::variable(2, 1);
+    const pl::gate_id a = pl.add_gate(pl::gate_kind::source, "a");
+    const pl::gate_id b = pl.add_gate(pl::gate_kind::source, "b");
+    const pl::gate_id c = pl.add_gate(pl::gate_kind::source, "c");
+    const pl::gate_id d1 = pl.add_gate(pl::gate_kind::compute, "d1");
+    const pl::gate_id d2 = pl.add_gate(pl::gate_kind::compute, "d2");
+    const pl::gate_id m = pl.add_gate(pl::gate_kind::compute, "m");
+    const pl::gate_id u = pl.add_gate(pl::gate_kind::compute, "u");
+    const pl::gate_id s1 = pl.add_gate(pl::gate_kind::sink, "s1");
+    const pl::gate_id s2 = pl.add_gate(pl::gate_kind::sink, "s2");
+    pl.set_function(d1, id);
+    pl.set_function(d2, id);
+    pl.set_function(m, and2);
+    pl.set_function(u, and2);
+    wire(b, d1, 0, false);
+    wire(d1, d2, 0, false);
+    wire(a, m, 0, false);
+    wire(d2, m, 1, false);
+    wire(c, u, 0, true);
+    wire(m, u, 1, false);
+    wire(u, s1, 0, false);
+    wire(c, s2, 0, false);
+    pl.attach_trigger(m, ~id, 1u);  // a = 0 decides m = 0
+    return pl;
+}
+
+TEST(LaneSweep, DivergentTimesReachATokenFreeAck) {
+    const pl::pl_netlist pl = divergent_ack_netlist();
+    std::uint64_t splits = 0;
+    expect_lanes_match_serial(pl, /*seed=*/9, /*count=*/64, {}, &splits);
+    EXPECT_GT(splits, 0u);
+
+    // The source behind the token-free ack really does settle per lane.
+    const std::vector<stimulus_block> blocks =
+        make_stimulus(64, pl.sources().size(), 9);
+    pl_simulator simulator(pl);
+    const lane_block_result r = simulator.run_lanes(blocks.front());
+    const auto [lo, hi] = std::minmax_element(r.input_stable.begin(),
+                                              r.input_stable.end());
+    EXPECT_LT(*lo, *hi);
+
+    // And the heap oracle agrees with the hand-built netlist's semantics.
+    sim_options heap_opts;
+    heap_opts.queue = queue_kind::binary_heap;
+    pl_simulator heap(pl, heap_opts);
+    const lane_block_result h = heap.run_lanes(blocks.front());
+    EXPECT_EQ(h.outputs, r.outputs);
+    EXPECT_EQ(h.input_stable, r.input_stable);
+    EXPECT_EQ(h.output_stable, r.output_stable);
+}
+
+// --- Lane sweep: the typed failures and the polling cadence --------------
+
+/// A gate that can never fire: `stuck` has no inputs, and its token-free
+/// edge starves `g` and the sink behind it.  A healthy second path
+/// (in2 -> h -> out2) still fires, so the sweep runs in checked mode and
+/// stops part-way.
+pl::pl_netlist starving_netlist() {
+    pl::pl_netlist pl;
+    const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
+    const pl::gate_id stuck = pl.add_gate(pl::gate_kind::const_source, "stuck");
+    const pl::gate_id g = pl.add_gate(pl::gate_kind::compute, "g");
+    pl.set_function(g, bf::truth_table::variable(2, 0) &
+                           bf::truth_table::variable(2, 1));
+    const pl::gate_id snk = pl.add_gate(pl::gate_kind::sink, "out");
+    pl.add_data_edge(src, g, 0, false, false);
+    pl.add_data_edge(stuck, g, 1, false, false);
+    pl.add_data_edge(g, snk, 0, false, false);
+    pl.add_ack_edge(snk, g, true);
+    pl.add_ack_edge(g, src, true);
+    const pl::gate_id src2 = pl.add_gate(pl::gate_kind::source, "in2");
+    const pl::gate_id h = pl.add_gate(pl::gate_kind::compute, "h");
+    pl.set_function(h, bf::truth_table::variable(1, 0));
+    const pl::gate_id snk2 = pl.add_gate(pl::gate_kind::sink, "out2");
+    pl.add_data_edge(src2, h, 0, false, false);
+    pl.add_data_edge(h, snk2, 0, false, false);
+    pl.add_ack_edge(snk2, h, true);
+    pl.add_ack_edge(h, src2, true);
+    return pl;
+}
+
+TEST(LaneSweep, CheckedModeDeadlockMatchesHeapFallback) {
+    const pl::pl_netlist pl = starving_netlist();
+    const std::vector<stimulus_block> blocks =
+        make_stimulus(5, pl.sources().size(), 3);
+    std::string diagnostic[2];
+    sim_run_stats stats[2];
+    for (const queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
+        const int k = queue == queue_kind::binary_heap ? 0 : 1;
+        sim_options opts;
+        opts.queue = queue;
+        pl_simulator simulator(pl, opts);
+        try {
+            simulator.run_lanes(blocks.front());
+            ADD_FAILURE() << "expected deadlock_error on " << to_string(queue);
+        } catch (const deadlock_error& e) {
+            const std::string what = e.what();
+            diagnostic[k] = what.substr(0, what.find(" (after"));
+            EXPECT_NE(what.find(k == 0 ? "heap queue" : "lanes queue"),
+                      std::string::npos)
+                << what;
+        }
+        stats[k] = simulator.stats();
+    }
+    EXPECT_NE(diagnostic[1].find("0/1 waves stable"), std::string::npos)
+        << diagnostic[1];
+    EXPECT_EQ(diagnostic[0], diagnostic[1]);
+    // The fallback stops at lane 0, whose run does the lane sweep's work.
+    EXPECT_EQ(stats[0].events, stats[1].events);
+    EXPECT_EQ(stats[0].firings, stats[1].firings);
+    EXPECT_GT(stats[1].firings, 0u);
+}
+
+TEST(LaneSweep, UnsafeNetlistRaisesBeforeAnyFiring) {
+    // No acknowledge from `slow` back to `src`: in pipelined mode src is on
+    // no cycle at all, so the structural check rejects the netlist before
+    // the sweep fires anything.
+    pl::pl_netlist pl;
+    const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
+    const pl::gate_id slow = pl.add_gate(pl::gate_kind::compute, "slow");
+    pl.set_function(slow, bf::truth_table::variable(2, 0) &
+                              bf::truth_table::variable(2, 1));
+    const pl::gate_id late = pl.add_gate(pl::gate_kind::source, "late");
+    const pl::gate_id snk = pl.add_gate(pl::gate_kind::sink, "out");
+    pl.add_data_edge(src, slow, 0, false, false);
+    pl.add_data_edge(late, slow, 1, false, false);
+    pl.add_data_edge(slow, snk, 0, false, false);
+    pl.add_ack_edge(snk, slow, true);
+    pl.add_ack_edge(slow, late, true);
+
+    sim_options opts;
+    opts.non_pipelined = false;
+    pl_simulator simulator(pl, opts);
+    const std::vector<stimulus_block> blocks =
+        make_stimulus(8, pl.sources().size(), 1);
+    EXPECT_THROW(simulator.run_lanes(blocks.front()), invariant_violation);
+    EXPECT_EQ(simulator.stats().events, 0u);
+    EXPECT_EQ(simulator.stats().firings, 0u);
+}
+
+/// A block big enough to cross several polling boundaries, and its
+/// word-event count.
+struct polled_block {
+    built_circuit circuit;
+    std::vector<stimulus_block> blocks;
+    std::uint64_t events = 0;
+};
+
+polled_block make_polled_block() {
+    polled_block p{build_preset(wl::scenario::datapath_like, 800, 31, true),
+                   {}, 0};
+    p.blocks = make_stimulus(64, p.circuit.pl.sources().size(), 5);
+    pl_simulator probe(p.circuit.pl);
+    probe.run_lanes(p.blocks.front());
+    p.events = probe.stats().events;
+    return p;
+}
+
+TEST(LaneSweep, BudgetExhaustedAtMaxEventsPlusOne) {
+    const polled_block p = make_polled_block();
+    ASSERT_GT(p.events, 2 * k_cancel_check_events);
+
+    sim_options exact;
+    exact.max_events = p.events;
+    pl_simulator fits(p.circuit.pl, exact);
+    EXPECT_NO_THROW(fits.run_lanes(p.blocks.front()));
+    EXPECT_EQ(fits.stats().events, p.events);
+
+    for (const std::uint64_t budget :
+         {p.events - 1, std::uint64_t{k_cancel_check_events}, std::uint64_t{7}}) {
+        SCOPED_TRACE(budget);
+        sim_options tight;
+        tight.max_events = budget;
+        pl_simulator simulator(p.circuit.pl, tight);
+        try {
+            simulator.run_lanes(p.blocks.front());
+            ADD_FAILURE() << "expected budget_exhausted";
+        } catch (const budget_exhausted& e) {
+            EXPECT_EQ(e.events(), budget + 1);
+            EXPECT_NE(std::string(e.what()).find("lanes queue"),
+                      std::string::npos);
+        }
+        EXPECT_EQ(simulator.stats().events, budget + 1);
+    }
+}
+
+TEST(LaneSweep, CancelAndProgressRunAtTheEventCadence) {
+    const polled_block p = make_polled_block();
+    ASSERT_GT(p.events, 2 * k_cancel_check_events);
+
+    // A progress beat at every multiple of the cadence, tagged with the
+    // deposit count it was taken at.
+    obs::flight_recorder recorder(256);
+    sim_options beat;
+    beat.recorder = &recorder;
+    pl_simulator beating(p.circuit.pl, beat);
+    beating.run_lanes(p.blocks.front());
+    std::uint64_t beats = 0;
+    for (const obs::fr_event& e : recorder.dump()) {
+        if (std::string(e.tag) != "sim.progress") continue;
+        ++beats;
+        EXPECT_EQ(e.a, beats * k_cancel_check_events);
+    }
+    EXPECT_EQ(beats, p.events / k_cancel_check_events);
+
+    // An expired token stops the pass at the first poll.
+    cancel_token token;
+    token.cancel();
+    sim_options cancelled;
+    cancelled.cancel = &token;
+    pl_simulator stopped(p.circuit.pl, cancelled);
+    try {
+        stopped.run_lanes(p.blocks.front());
+        ADD_FAILURE() << "expected job_timeout";
+    } catch (const job_timeout& e) {
+        EXPECT_EQ(e.progress(), k_cancel_check_events);
+    }
+    EXPECT_EQ(stopped.stats().events, k_cancel_check_events);
 }
 
 TEST(LaneSim, HeapEngineFallsBackToSerialAndMatchesCalendar) {
@@ -481,8 +665,8 @@ TEST(LaneMeasure, MatchesSerialPerVectorReference) {
     EXPECT_EQ(r.lanes, k_lanes);
     EXPECT_EQ(r.mismatched_waves, 0u);
     ASSERT_EQ(r.delays.size(), 100u);
-    EXPECT_GE(r.lockstep_fraction, 0.0);
-    EXPECT_LE(r.lockstep_fraction, 1.0);
+    EXPECT_EQ(r.stats.lane_blocks, 2u);
+    EXPECT_EQ(r.stats.lane_runs, 2u);  // one pass per block
 
     // Every reported delay must equal a fresh serial single-vector run.
     const std::vector<std::vector<bool>> vectors =
@@ -492,58 +676,6 @@ TEST(LaneMeasure, MatchesSerialPerVectorReference) {
         const std::vector<wave_record> waves = ref.run({vectors[v]});
         EXPECT_DOUBLE_EQ(r.delays[v], waves.front().delay()) << "vector " << v;
     }
-}
-
-TEST(LaneMeasure, LockstepFractionCountsForkPasses) {
-    // With the fork policy under tie delays the passes genuinely split, so
-    // lockstep must land strictly below 1.0, and the per-depth checkpoint
-    // histogram must account for every fork the engine reported.
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 120, 11, true);
-    measure_options mo;
-    mo.num_vectors = 128;
-    mo.seed = 23;
-    mo.lanes = k_lanes;
-    mo.sim = tie_delay_options();
-    mo.sim.lane_policy = lane_split_policy::fork;
-    mo.sim.lane_group = false;
-    const measure_result r = measure_average_delay(c.pl, &c.sync, mo);
-    EXPECT_GT(r.stats.lane_splits, 0u);
-    EXPECT_GE(r.lockstep_fraction, 0.0);
-    EXPECT_LT(r.lockstep_fraction, 1.0);
-    std::uint64_t depth_sum = 0;
-    for (const std::uint64_t n : r.fork_depth_counts) depth_sum += n;
-    EXPECT_EQ(depth_sum, r.stats.lane_forks);
-}
-
-TEST(LaneMeasure, SingleVectorBlocksDoNotFakeLockstep) {
-    // Regression: a trailing 1-vector block can neither merge nor split, so
-    // it must contribute to neither side of the lockstep ratio — the old
-    // per-block vectors==runs shortcut let degenerate blocks drag a
-    // splitting workload toward a fake "fully lockstep" reading.
-    const built_circuit c =
-        build_preset(wl::scenario::datapath_like, 120, 11, true);
-    measure_options mo;
-    mo.seed = 23;
-    mo.lanes = k_lanes;
-    mo.sim = tie_delay_options();
-    mo.sim.lane_policy = lane_split_policy::fork;
-    mo.sim.lane_group = false;
-    mo.num_vectors = 64;
-    const measure_result full = measure_average_delay(c.pl, &c.sync, mo);
-    ASSERT_GT(full.stats.lane_splits, 0u);
-    ASSERT_LT(full.lockstep_fraction, 1.0);
-    mo.num_vectors = 65;  // same full block plus a degenerate 1-vector block
-    const measure_result padded = measure_average_delay(c.pl, &c.sync, mo);
-    EXPECT_DOUBLE_EQ(padded.lockstep_fraction, full.lockstep_fraction);
-
-    // A genuinely divergence-free workload still reads exactly 1.0.
-    measure_options lone;
-    lone.num_vectors = 1;
-    lone.seed = 23;
-    lone.lanes = k_lanes;
-    const measure_result single = measure_average_delay(c.pl, &c.sync, lone);
-    EXPECT_DOUBLE_EQ(single.lockstep_fraction, 1.0);
 }
 
 TEST(LaneMeasure, RejectsUnsupportedLaneCounts) {

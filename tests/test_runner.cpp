@@ -103,11 +103,13 @@ TEST(FleetRunner, AggregatesMatchTheRows) {
 
     const report::json j = to_json(fleet);
     const std::string dump = j.dump();
-    EXPECT_NE(dump.find("\"schema_version\": 2"), std::string::npos);
+    EXPECT_NE(dump.find("\"schema_version\": 3"), std::string::npos);
     EXPECT_NE(dump.find("\"netlists_per_s\""), std::string::npos);
     EXPECT_NE(dump.find("\"rows\""), std::string::npos);
-    // Schema 2 carries no trigger-memo fields, fleet-level or per row.
+    // No trigger-memo fields (gone since schema 2), fleet-level or per
+    // row, and no lane run-merging fraction (gone since schema 3).
     EXPECT_EQ(dump.find("cache"), std::string::npos);
+    EXPECT_EQ(dump.find("lockstep"), std::string::npos);
 }
 
 /// A job whose netlist fails validation at the mapping stage.

@@ -232,8 +232,8 @@ TEST(SimQueue, EventBudgetExhaustsIdentically) {
 }
 
 TEST(SimQueue, OversizedEventBudgetFallsBackToHeapEngine) {
-    // A budget beyond the lane engine's packed-key range: the sweep has no
-    // key to pack and runs as usual, and must still equal the oracle.
+    // A budget far beyond any run: the sweep has no packed event key to
+    // overflow and runs as usual, and must still equal the oracle.
     const pl::pl_netlist pl = map_with_ee(bench::make_b02());
     const std::vector<std::vector<bool>> vectors =
         random_vectors(10, pl.sources().size(), 3);

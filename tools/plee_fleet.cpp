@@ -15,13 +15,13 @@
 //   --threads N    worker pool size, 0 = hardware_concurrency (default 0)
 //   --vectors V    random vectors per measurement             (default 20)
 //   --queue Q      simulator engine: calendar | heap          (default calendar)
-//                  calendar = the throughput engines (wave sweep at
-//                  --lanes 1, lane engine at --lanes 64); heap = the
-//                  event-loop oracle; results are bit-identical
+//                  calendar = the wave sweep (over every wave at
+//                  --lanes 1, over one wave of 64-bit words at --lanes
+//                  64); heap = the event-loop oracle; results are
+//                  bit-identical
 //   --lanes L      stimulus lanes per engine pass: 1 | 64     (default 1)
-//   --lane-policy P lane divergence handling: vector|fork|replay (default vector)
 //   --delays D     delay model: default | tie (all components 1.0 — the
-//                  split-storm stressor: every EE race is a tie)
+//                  lane-divergence stressor: every EE race is a tie)
 //   --no-check     skip the per-firing EE invariant check in the simulator
 //   --json PATH    write the fleet result (summary + rows) as JSON
 //
@@ -89,14 +89,13 @@ void usage(const char* argv0) {
         stderr,
         "usage: %s [--circuits N|itc99|bXX,bYY] [--scenario S|mixed]\n"
         "       [--gates G] [--seed S] [--threads N] [--vectors V]\n"
-        "       [--queue calendar|heap] [--lanes 1|64] "
-        "[--lane-policy vector|fork|replay]\n"
+        "       [--queue calendar|heap] [--lanes 1|64]\n"
         "       [--delays default|tie] [--no-check]\n"
         "       [--job-deadline-ms MS] [--max-retries N] [--fail-fast]\n"
         "       [--inject SPEC] [--json PATH]\n"
         "       [--metrics-out PATH] [--trace-out PATH] [--no-telemetry]\n"
         "\n"
-        "  --queue: calendar = wave sweep (lanes 1) / lane engine (lanes 64);\n"
+        "  --queue: calendar = wave sweep (lanes 1) / lane sweep (lanes 64);\n"
         "           heap = the event-loop oracle; results are bit-identical\n"
         "  --inject points: synth.map ee.search sim.fire\n"
         "  --inject fates:  PROB | PROB:transient | PROB:permanent | "
@@ -175,7 +174,6 @@ int main(int argc, char** argv) {
     unsigned threads = 0;
     std::size_t vectors = 20;
     sim::queue_kind queue = sim::sim_options{}.queue;
-    sim::lane_split_policy lane_policy = sim::sim_options{}.lane_policy;
     bool tie_delays = false;
     std::size_t lanes = 1;
     bool check_early_value = true;
@@ -220,14 +218,11 @@ int main(int argc, char** argv) {
             lanes = std::strtoull(v, nullptr, 10);
             if (lanes != 1 && lanes != sim::k_lanes) { usage(argv[0]); return 1; }
         } else if (std::strcmp(argv[i], "--lane-policy") == 0) {
-            const char* v = next();
-            if (v == nullptr) { usage(argv[0]); return 1; }
-            try {
-                lane_policy = sim::lane_split_policy_from_string(v);
-            } catch (const std::invalid_argument&) {
-                usage(argv[0]);
-                return 1;
-            }
+            std::fprintf(stderr,
+                         "plee_fleet: --lane-policy was removed: --lanes 64 "
+                         "always runs the one-wave lane sweep\n");
+            usage(argv[0]);
+            return 1;
         } else if (std::strcmp(argv[i], "--delays") == 0) {
             const char* v = next();
             if (v == nullptr) { usage(argv[0]); return 1; }
@@ -325,10 +320,10 @@ int main(int argc, char** argv) {
         opts.experiment.measure.num_vectors = vectors;
         opts.experiment.measure.lanes = lanes;
         opts.experiment.measure.sim.queue = queue;
-        opts.experiment.measure.sim.lane_policy = lane_policy;
         if (tie_delays) {
             // Every delay component equal: all EE races tie, so mixed efire
-            // words (and thus splits) are as frequent as the stimulus allows.
+            // words (and thus lane splits) are as frequent as the stimulus
+            // allows.
             opts.experiment.measure.sim.delays = {1.0, 1.0, 1.0, 1.0, 1.0};
         }
         opts.experiment.measure.sim.check_early_value = check_early_value;
@@ -369,11 +364,6 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(fleet.total_sim_events),
                     fleet.total_sim_wall_ms, fleet.sim_events_per_s(),
                     fleet.vectors_per_s());
-        if (lanes > 1) {
-            std::printf("lane engine: lockstep fraction %.3f across the "
-                        "fleet's measurements\n",
-                        fleet.lockstep_fraction);
-        }
 
         if (!fleet.delay_hist_no_ee.empty() && !fleet.delay_hist_ee.empty()) {
             // The paper's comparison as a distribution, not a mean: fleet-wide

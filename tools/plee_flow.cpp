@@ -13,16 +13,15 @@
 //                      (default 0 = hardware_concurrency; bit-identical
 //                      results at any count)
 //   --seed S           stimulus seed                        (default fixed)
-//   --queue Q          simulator engine: calendar (the throughput engines:
-//                      wave sweep at --lanes 1, calendar-queue lane engine
-//                      at --lanes 64) | heap (the event-loop oracle)
+//   --queue Q          simulator engine: calendar (the wave sweep, over
+//                      every wave at --lanes 1, over one wave of 64-bit
+//                      words at --lanes 64) | heap (the event-loop oracle)
 //                      (default calendar; results are bit-identical)
 //   --lanes L          stimulus lanes per engine pass: 1 | 64
 //                      (default 1 = the paper's sequential protocol; 64 =
 //                      independent vectors, lane-parallel; see sim/README.md)
-//   --lane-policy P    lane divergence handling: vector | fork | replay (default vector)
 //   --delays D         delay model: default | tie (all components 1.0, the
-//                      split-storm stressor)
+//                      lane-divergence stressor)
 //   --no-check         skip the per-firing EE invariant check
 //   --dot FILE         write the PL netlist (post-EE) as Graphviz
 //   --vcd FILE         write a token waveform of the measured run
@@ -79,7 +78,6 @@ struct cli_options {
     unsigned threads = 0;  // 0 = hardware_concurrency
     std::uint64_t seed = 0x9e3779b97f4a7c15ull;
     sim::queue_kind queue = sim::sim_options{}.queue;
-    sim::lane_split_policy lane_policy = sim::sim_options{}.lane_policy;
     bool tie_delays = false;
     std::size_t lanes = 1;
     bool check_early_value = true;
@@ -96,11 +94,11 @@ void usage() {
                  "usage: plee_flow (--bench bXX | --blif FILE) [--vectors N] "
                  "[--threshold X]\n                 [--method exact|cube] [--no-ee] "
                  "[--threads N] [--seed S]\n                 [--queue calendar|heap] "
-                 "[--lanes 1|64] [--lane-policy vector|fork|replay]\n"
+                 "[--lanes 1|64]\n"
                  "                 [--delays default|tie] [--no-check] [--dot FILE] "
                  "[--vcd FILE] [--blif-out FILE] [--report]\n"
                  "                 [--metrics-out FILE] [--trace-out FILE]\n"
-                 "  --queue: calendar = wave sweep (lanes 1) / lane engine "
+                 "  --queue: calendar = wave sweep (lanes 1) / lane sweep "
                  "(lanes 64);\n"
                  "           heap = the event-loop oracle; results are "
                  "bit-identical\n");
@@ -155,13 +153,10 @@ std::optional<cli_options> parse(int argc, char** argv) {
             o.lanes = std::strtoull(v, nullptr, 10);
             if (o.lanes != 1 && o.lanes != sim::k_lanes) return std::nullopt;
         } else if (arg == "--lane-policy") {
-            const char* v = next();
-            if (v == nullptr) return std::nullopt;
-            try {
-                o.lane_policy = sim::lane_split_policy_from_string(v);
-            } catch (const std::invalid_argument&) {
-                return std::nullopt;
-            }
+            std::fprintf(stderr,
+                         "plee_flow: --lane-policy was removed: --lanes 64 "
+                         "always runs the one-wave lane sweep\n");
+            return std::nullopt;
         } else if (arg == "--delays") {
             const char* v = next();
             if (v == nullptr) return std::nullopt;
@@ -333,10 +328,9 @@ int main(int argc, char** argv) {
         // its own scalar tracer, so the measured run stays trace-free.
         mopts.sim.collect_trace = !o.vcd_out.empty() && o.lanes == 1;
         mopts.sim.queue = o.queue;
-        mopts.sim.lane_policy = o.lane_policy;
         if (o.tie_delays) {
             // Every delay component equal: all EE races tie, maximizing
-            // mixed efire words (and thus lane splits).
+            // mixed efire words (and thus divergent lane times).
             mopts.sim.delays = {1.0, 1.0, 1.0, 1.0, 1.0};
         }
         mopts.sim.check_early_value = o.check_early_value;
@@ -361,19 +355,11 @@ int main(int argc, char** argv) {
                         : 0.0,
                     r.vectors_per_s());
         if (o.lanes > 1) {
-            std::printf("lane engine (%s policy): %llu runs + %llu forks over "
-                        "%llu blocks (%llu groups, %llu splits, %llu replays), "
-                        "lockstep fraction %.3f, fork peak %llu B\n",
-                        sim::to_string(o.lane_policy),
+            std::printf("lane sweep: %llu runs over %llu blocks, %llu "
+                        "splits\n",
                         static_cast<unsigned long long>(r.stats.lane_runs),
-                        static_cast<unsigned long long>(r.stats.lane_forks),
                         static_cast<unsigned long long>(r.stats.lane_blocks),
-                        static_cast<unsigned long long>(r.stats.lane_groups),
-                        static_cast<unsigned long long>(r.stats.lane_splits),
-                        static_cast<unsigned long long>(r.stats.lane_replays),
-                        r.lockstep_fraction,
-                        static_cast<unsigned long long>(
-                            r.stats.lane_fork_bytes_peak));
+                        static_cast<unsigned long long>(r.stats.lane_splits));
         }
         if (r.stats.ee_hits + r.stats.ee_misses > 0) {
             std::printf("EE firings: %llu hits / %llu misses (%llu strictly "
