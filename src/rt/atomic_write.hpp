@@ -1,8 +1,9 @@
 // atomic_write.hpp — crash-safe replacement of a whole text file.
 //
-// The tools write every artifact (--json, --metrics-out, --trace-out)
-// through this helper so an interrupt or a full disk never leaves a
-// half-written file behind: the text goes to a same-directory temp file,
+// plee_fleet writes every artifact (--json, --metrics-out, --trace-out,
+// --dot, --vcd, --blif-out) through this helper so an interrupt or a full
+// disk never leaves a half-written file behind, and a failed write is an
+// error naming the path: the text goes to a same-directory temp file,
 // which is fsynced and then renamed over the target, and the directory is
 // fsynced so the rename itself is durable.  A crash at any point leaves
 // `path` either untouched or fully replaced.

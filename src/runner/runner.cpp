@@ -56,7 +56,6 @@ void run_job(const fleet_job& job, const report::experiment_options& experiment,
         opts.cancel = &token;
         opts.fault_context = job.id + "#" + std::to_string(attempt);
         if (job.max_events != 0) opts.measure.sim.max_events = job.max_events;
-        if (job.lanes != 0) opts.measure.lanes = job.lanes;
         opts.telemetry = options.telemetry;
         if (options.telemetry) {
             trace.clear();
@@ -171,17 +170,20 @@ double retry_backoff_ms(const std::string& job_id, unsigned attempt,
 fleet_result run_fleet(const std::vector<fleet_job>& jobs,
                        const fleet_options& options) {
     fleet_result fleet;
-    unsigned threads = options.num_threads != 0 ? options.num_threads
-                                                : std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-    threads = static_cast<unsigned>(
-        std::min<std::size_t>(threads, std::max<std::size_t>(jobs.size(), 1)));
+    unsigned requested = options.num_threads != 0
+                             ? options.num_threads
+                             : std::thread::hardware_concurrency();
+    if (requested == 0) requested = 1;
+    const unsigned threads = static_cast<unsigned>(
+        std::min<std::size_t>(requested, std::max<std::size_t>(jobs.size(), 1)));
     fleet.threads = threads;
     fleet.results.resize(jobs.size());
     if (jobs.empty()) return fleet;
 
+    // Threads the worker pool leaves idle go to each job's EE search.
     report::experiment_options experiment = options.experiment;
-    experiment.ee.num_threads = std::max(options.ee_threads_per_job, 1u);
+    experiment.ee.num_threads = static_cast<unsigned>(
+        std::max<std::size_t>(1, requested / jobs.size()));
 
     std::vector<std::exception_ptr> errors(jobs.size());
     std::atomic<std::size_t> next{0};

@@ -54,9 +54,6 @@ struct fleet_job {
     /// experiment.measure.sim.max_events).  Lets one suspect job carry a
     /// tight budget without constraining the whole fleet.
     std::uint64_t max_events = 0;
-    /// Per-job override of the measurement lane count (0 = inherit
-    /// experiment.measure.lanes; otherwise 1 or 64).
-    std::size_t lanes = 0;
 };
 
 /// Terminal state of one job after all its attempts.
@@ -83,14 +80,14 @@ double retry_backoff_ms(const std::string& job_id, unsigned attempt,
                         double base_ms);
 
 struct fleet_options {
-    /// Worker threads sharding the job list.  0 = one per hardware thread.
+    /// Threads for the whole fleet.  0 = one per hardware thread.  The
+    /// worker pool takes min(num_threads, jobs) of them; each job's EE
+    /// search gets max(1, num_threads / jobs), so a fleet of one searches
+    /// on the whole pool while bigger fleets keep each search sequential.
     unsigned num_threads = 0;
     /// Per-circuit pipeline knobs (mapping, EE search, measurement).  The
     /// runner owns ee.num_threads; a value set there is overridden per job.
     report::experiment_options experiment{};
-    /// Inner EE-search threads per job.  The outer job shards already
-    /// saturate the machine, so the default keeps each pass sequential.
-    unsigned ee_threads_per_job = 1;
     /// Per-job wall-clock deadline in ms (0 = none).  Each attempt gets a
     /// fresh cancel token armed with this deadline; the pipeline stages poll
     /// it cooperatively, so a hung job lands in timed_out within a bounded

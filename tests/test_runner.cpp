@@ -1,6 +1,7 @@
 // Tests for the sharded fleet runner: bit-identical results against the
 // serial single-circuit pipeline on b05/b07/b10 at several thread counts,
-// aggregate accounting, and error propagation.
+// a fleet of one handing its threads to the EE search, aggregate
+// accounting, and error propagation.
 
 #include "runner/runner.hpp"
 
@@ -217,6 +218,28 @@ TEST(FleetRunner, FailingJobsDoNotPerturbSurvivorRows) {
                                   ids[i] + " " + label);
         }
     }
+}
+
+TEST(FleetRunner, FleetOfOneGivesTheSameRowAtAnyThreadCount) {
+    // A one-job fleet hands the whole pool to the job's EE search; the row
+    // must not depend on how many threads that search ran on.
+    fleet_job job;
+    job.id = "b07";
+    job.description = "b07";
+    job.netlist = bench::build_benchmark("b07");
+    std::vector<fleet_result> fleets;
+    for (unsigned threads : {1u, 4u}) {
+        fleet_options opts;
+        opts.num_threads = threads;
+        opts.experiment = fast_options();
+        fleets.push_back(run_fleet({job}, opts));
+        ASSERT_EQ(fleets.back().results.size(), 1u);
+        EXPECT_EQ(fleets.back().threads, 1u);
+        EXPECT_EQ(fleets.back().results[0].status, job_status::ok);
+    }
+    EXPECT_GT(fleets[0].results[0].row.ee_gates, 0u);
+    expect_rows_identical(fleets[0].results[0].row, fleets[1].results[0].row,
+                          "b07 at 1 vs 4 threads");
 }
 
 TEST(FleetRunner, EmptyFleetIsANoop) {
