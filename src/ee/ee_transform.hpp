@@ -4,8 +4,8 @@
 // (Section 4): for every compute gate, run the trigger search weighted by the
 // gate's input arrival depths; when an implementable candidate exists, attach
 // a trigger gate (the paper's master/trigger EE pair, Figure 2).  The pass
-// re-verifies the marked graph afterwards — the added edges form single-token
-// cycles by construction, so liveness and safety are preserved.
+// always re-verifies the marked graph afterwards — the added edges form
+// single-token cycles by construction, so liveness and safety are preserved.
 //
 // Setting `search.cost_threshold` > 0 reproduces the paper's area/delay
 // trade-off: "Thresholding the cost function allows for a tradeoff in area
@@ -25,8 +25,6 @@ namespace plee::ee {
 
 struct ee_options {
     search_options search;
-    /// Re-verify the marked graph after the transform (throws on failure).
-    bool verify = true;
     /// Worker threads for the per-gate trigger search (the netlist-scale hot
     /// loop).  0 = one per hardware thread, 1 = fully sequential.  The
     /// search phase is pure, results are collected per gate index, and the

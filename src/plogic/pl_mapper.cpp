@@ -1,7 +1,7 @@
 #include "plogic/pl_mapper.hpp"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <stdexcept>
 
 #include "plogic/bit_matrix.hpp"
@@ -82,21 +82,19 @@ data_reach analyze_data_reach(const pl_netlist& pl) {
 /// edges are all empty and would form a token-free directed cycle (deadlock).
 /// A buffer stage — functionally a wire — restores the needed slack.  Linear
 /// register chains (shift registers) drain from the tail and need no buffers.
-nl::netlist insert_register_slack(const nl::netlist& src, bool& changed) {
+nl::netlist insert_register_slack(const nl::netlist& src) {
     // Strongly connected components of the DFF->DFF direct-connection graph.
     const std::vector<nl::cell_id>& dffs = src.dffs();
-    std::map<nl::cell_id, std::size_t> dff_index;
-    for (std::size_t i = 0; i < dffs.size(); ++i) dff_index.emplace(dffs[i], i);
+    constexpr std::size_t k_not_dff = std::numeric_limits<std::size_t>::max();
+    std::vector<std::size_t> dff_index(src.num_cells(), k_not_dff);
+    for (std::size_t i = 0; i < dffs.size(); ++i) dff_index[dffs[i]] = i;
 
     // Union-find over mutual reachability is overkill at this scale; a simple
     // DFS-based SCC (Tarjan) over at most |dffs| nodes suffices.
     const std::size_t n = dffs.size();
-    std::vector<std::vector<std::size_t>> adj(n);
+    std::vector<std::size_t> next(n);  // the DFF this DFF's D comes from
     for (std::size_t i = 0; i < n; ++i) {
-        const nl::cell_id d = src.at(dffs[i]).fanins.front();
-        if (auto it = dff_index.find(d); it != dff_index.end()) {
-            adj[i].push_back(it->second);  // edge: this DFF's D comes from that DFF
-        }
+        next[i] = dff_index[src.at(dffs[i]).fanins.front()];
     }
     // Each node has out-degree <= 1 here (one D input), so SCCs are simple
     // cycles; find them by walking successor chains.
@@ -119,15 +117,13 @@ nl::netlist insert_register_slack(const nl::netlist& src, bool& changed) {
             if (color[v] == 2) break;
             color[v] = 1;
             path.push_back(v);
-            if (adj[v].empty()) break;
-            v = adj[v].front();
+            if (next[v] == k_not_dff) break;
+            v = next[v];
         }
         for (std::size_t p : path) color[p] = 2;
     }
 
-    changed = false;
-    for (std::size_t i = 0; i < n; ++i) changed = changed || on_cycle[i];
-    if (!changed) return src;
+    if (std::find(on_cycle.begin(), on_cycle.end(), 1) == on_cycle.end()) return src;
 
     nl::netlist out = src;
     const bf::truth_table identity = bf::truth_table::variable(1, 0);
@@ -149,8 +145,7 @@ map_result map_to_phased_logic(const nl::netlist& input, const map_options& opti
         throw std::invalid_argument(
             "map_to_phased_logic: netlist exceeds the PL gate fanin budget");
     }
-    bool patched = false;
-    const nl::netlist nl = insert_register_slack(input, patched);
+    const nl::netlist nl = insert_register_slack(input);
 
     map_result result;
     result.stats.slack_buffers = nl.num_cells() - input.num_cells();
@@ -185,6 +180,15 @@ map_result map_to_phased_logic(const nl::netlist& input, const map_options& opti
     }
 
     // --- Data edges ------------------------------------------------------------
+    // Each data edge also records its (producer, consumer) fanout pair for
+    // the acknowledge insertion below.
+    struct fanout_pair {
+        gate_id u;
+        gate_id v;
+        bool marked;
+        std::pair<gate_id, gate_id> key() const { return {u, v}; }
+    };
+    std::vector<fanout_pair> pairs;
     auto edge_marking = [&](nl::cell_id producer) {
         const nl::cell& p = nl.at(producer);
         return std::pair<bool, bool>{p.kind == nl::cell_kind::dff, p.init_value};
@@ -197,74 +201,66 @@ map_result map_to_phased_logic(const nl::netlist& input, const map_options& opti
             const auto [token, value] = edge_marking(producer);
             pl.add_data_edge(result.gate_of_cell[producer], g, static_cast<int>(pin),
                              token, value);
+            pairs.push_back({result.gate_of_cell[producer], g, token});
         }
     }
 
     // --- Acknowledge feedback insertion -----------------------------------------
-    // Collect the distinct (producer, consumer, marking) fanout pairs.
-    std::map<std::pair<gate_id, gate_id>, bool> fanout_pairs;  // -> data marking
-    for (const pl_edge& e : pl.edges()) {
-        if (e.kind == edge_kind::data) {
-            fanout_pairs.emplace(std::make_pair(e.from, e.to), e.init_token);
-        }
-    }
+    // The distinct fanout pairs in (producer, consumer) order, each with the
+    // marking of its first data edge.
+    std::stable_sort(pairs.begin(), pairs.end(),
+                     [](const auto& a, const auto& b) { return a.key() < b.key(); });
+    const auto same = [](const auto& a, const auto& b) { return a.key() == b.key(); };
+    pairs.erase(std::unique(pairs.begin(), pairs.end(), same), pairs.end());
 
     if (options.share_feedbacks) {
         const data_reach reach = analyze_data_reach(pl);
 
         // Pass 1: natural-cycle elimination.
-        // Group the surviving pairs by producer for the sharing pass.
-        std::map<gate_id, std::vector<std::pair<gate_id, bool>>> by_producer;
-        for (const auto& [pair, marked] : fanout_pairs) {
-            const auto [u, v] = pair;
-            const bool covered = marked ? reach.reach0.test(v, u)
-                                        : reach.reach_le1.test(v, u);
-            if (covered) {
-                ++result.stats.acks_saved_by_natural_cycles;
-            } else {
-                by_producer[u].emplace_back(v, marked);
-            }
-        }
+        std::erase_if(pairs, [&](const fanout_pair& p) {
+            const bool covered = p.marked ? reach.reach0.test(p.v, p.u)
+                                          : reach.reach_le1.test(p.v, p.u);
+            result.stats.acks_saved_by_natural_cycles += covered ? 1 : 0;
+            return covered;
+        });
 
-        // Pass 2: sibling sharing.  Deeper consumers first: if a shallower
-        // consumer reaches an acknowledged sibling token-free, the sibling's
-        // ack closes its cycle too.
-        for (auto& [u, consumers] : by_producer) {
-            std::sort(consumers.begin(), consumers.end(),
-                      [&](const auto& a, const auto& b) {
-                          return reach.topo_pos[a.first] > reach.topo_pos[b.first];
-                      });
-            std::vector<gate_id> acked;
-            for (const auto& [v, marked] : consumers) {
-                const bool covered =
-                    std::any_of(acked.begin(), acked.end(), [&](gate_id k) {
-                        return v != k && reach.reach0.test(v, k);
-                    });
-                if (covered) {
-                    ++result.stats.acks_saved_by_sharing;
-                } else {
-                    pl.add_ack_edge(v, u, !marked);
-                    ++result.stats.acks_added;
-                    acked.push_back(v);
-                }
+        // Pass 2: sibling sharing, walking each producer's contiguous run.
+        // Deeper consumers first: if a shallower consumer reaches an
+        // acknowledged sibling token-free, the sibling's ack closes its
+        // cycle too.
+        std::sort(pairs.begin(), pairs.end(), [&](const auto& a, const auto& b) {
+            return a.u != b.u ? a.u < b.u
+                              : reach.topo_pos[a.v] > reach.topo_pos[b.v];
+        });
+        std::vector<gate_id> acked;
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+            const auto [u, v, marked] = pairs[i];
+            if (i == 0 || pairs[i - 1].u != u) acked.clear();
+            const bool covered =
+                std::any_of(acked.begin(), acked.end(), [&](gate_id k) {
+                    return v != k && reach.reach0.test(v, k);
+                });
+            if (covered) {
+                ++result.stats.acks_saved_by_sharing;
+            } else {
+                pl.add_ack_edge(v, u, !marked);
+                ++result.stats.acks_added;
+                acked.push_back(v);
             }
         }
     } else {
-        for (const auto& [pair, marked] : fanout_pairs) {
+        for (const auto& [u, v, marked] : pairs) {
             // A self-loop data edge is its own single-token cycle; an ack
             // would add a token-free self-cycle (not live) when marked.
-            if (pair.first == pair.second) continue;
-            pl.add_ack_edge(pair.second, pair.first, !marked);
+            if (u == v) continue;
+            pl.add_ack_edge(v, u, !marked);
             ++result.stats.acks_added;
         }
     }
 
-    if (options.verify) {
-        const mg_report report = pl.verify();
-        if (!report.ok()) {
-            throw std::logic_error("map_to_phased_logic: marked graph invalid: " +
-                                   report.violation);
-        }
+    if (const mg_report report = pl.verify(); !report.ok()) {
+        throw std::logic_error("map_to_phased_logic: marked graph invalid: " +
+                               report.violation);
     }
     return result;
 }

@@ -15,8 +15,8 @@
 //   2. sibling sharing: among consumers of one producer, a consumer that
 //      reaches an acknowledged sibling consumer token-free is covered by the
 //      sibling's ack.
-// The mapper re-verifies the final marked graph (live + safe + well-formed)
-// and throws if the optimization ever produced an invalid network.
+// The mapper always re-verifies the final marked graph (live + safe +
+// well-formed) and throws if the optimization ever produced an invalid network.
 
 #pragma once
 
@@ -32,9 +32,6 @@ struct map_options {
     /// Apply the feedback-sharing optimizations.  When false every data edge
     /// gets its own acknowledge edge (always correct, maximally conservative).
     bool share_feedbacks = true;
-    /// Run full marked-graph verification after mapping (recommended; the
-    /// mapper throws std::logic_error when verification fails).
-    bool verify = true;
 };
 
 struct map_stats {

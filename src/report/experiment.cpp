@@ -33,56 +33,49 @@ experiment_row run_ee_experiment(const std::string& description,
     ee_opts.cancel = options.cancel;
     ee_opts.context = context;
     ee_opts.recorder = options.recorder;
-    const auto stage_gate = [&](const char* stage, std::uint64_t site) {
-        if (options.cancel != nullptr && options.cancel->expired()) {
-            throw job_timeout(stage, context, site);
-        }
-    };
 
-    // Baseline: plain Phased Logic.  Each stage opens its own top-level span
-    // (sim.run / sim.golden nest inside the measure spans), so the trace
-    // reads as the stage sequence of the header comment.
-    stage_gate("pipeline.map", 0);
+    // Each stage opens its own top-level span (sim.run nests inside the
+    // measure spans), so the trace reads as the stage sequence of the
+    // header comment.
+    if (options.cancel != nullptr && options.cancel->expired()) {
+        throw job_timeout("pipeline.map", context, 0);
+    }
     pl::map_result mapped = [&] {
         const obs::scoped_span span(options.trace, "map_to_pl.plain");
         fault::injector::instance().check("synth.map", 0);
         return pl::map_to_phased_logic(netlist, options.map);
     }();
     row.pl_gates = mapped.pl.num_pl_gates();
-    sim::measure_result base;
-    {
-        const obs::scoped_span span(options.trace, "measure.plain");
-        base = sim::measure_average_delay(mapped.pl, &netlist, measure);
-    }
+    // One stimulus and one golden run serve both measurements.
+    const sim::reference reference =
+        sim::make_reference(&netlist, mapped.pl.sources().size(), measure);
+    const auto measure_stage = [&](const char* stage) {
+        const obs::scoped_span span(options.trace, stage);
+        sim::measure_result r =
+            sim::measure_average_delay(mapped.pl, reference, measure);
+        row.sim_wall_ms += r.sim_wall_ms;
+        row.vectors_measured += r.delays.size();
+        return r;
+    };
+
+    // Baseline: plain Phased Logic.
+    sim::measure_result base = measure_stage("measure.plain");
     row.delay_no_ee = base.avg_delay;
     row.stats_no_ee = base.stats;
-    row.sim_wall_ms += base.sim_wall_ms;
     row.delay_hist_no_ee = std::move(base.delay_hist);
 
-    // Early Evaluation applied to the same mapping.
-    stage_gate("pipeline.map", 1);
-    pl::map_result mapped_ee = [&] {
-        const obs::scoped_span span(options.trace, "map_to_pl.ee");
-        fault::injector::instance().check("synth.map", 1);
-        return pl::map_to_phased_logic(netlist, options.map);
-    }();
+    // Early Evaluation applied in place: the plain measurement is done with
+    // the mapping, so the EE pass needs neither a remap nor a copy.
     {
         const obs::scoped_span span(options.trace, "ee.search");
-        row.ee_detail = ee::apply_early_evaluation(mapped_ee.pl, ee_opts);
+        row.ee_detail = ee::apply_early_evaluation(mapped.pl, ee_opts);
     }
-    row.ee_gates = mapped_ee.pl.num_trigger_gates();
-    sim::measure_result with_ee;
-    {
-        const obs::scoped_span span(options.trace, "measure.ee");
-        with_ee = sim::measure_average_delay(mapped_ee.pl, &netlist, measure);
-    }
+    row.ee_gates = mapped.pl.num_trigger_gates();
+    sim::measure_result with_ee = measure_stage("measure.ee");
     row.delay_ee = with_ee.avg_delay;
     row.stats_ee = with_ee.stats;
-    row.sim_wall_ms += with_ee.sim_wall_ms;
     row.delay_hist_ee = std::move(with_ee.delay_hist);
-
     row.lanes = measure.lanes;
-    row.vectors_measured = base.delays.size() + with_ee.delays.size();
 
     row.delay_diff = row.delay_no_ee - row.delay_ee;
     row.area_increase_pct =

@@ -5,8 +5,9 @@
 //                        -> EE transform -> measure again
 // and reporting: PL gate count, EE gate count, both average delays, the
 // delay difference, % area increase (EE gates / PL gates) and % delay
-// decrease.  Both measurements verify the PL outputs against the synchronous
-// golden simulation wave-by-wave.
+// decrease.  Each step runs once per row: one mapping (EE rewrites it in
+// place after the plain measurement) and one stimulus with one golden
+// synchronous run, which both measurements check vector by vector.
 
 #pragma once
 
@@ -36,10 +37,10 @@ struct experiment_options {
     /// to the row description.
     std::string fault_context;
     /// Per-job trace: the pipeline opens one span per stage (map_to_pl.plain
-    /// → measure.plain → map_to_pl.ee → ee.search → measure.ee, with
-    /// sim.run / sim.golden children inside each measure).  Spans close on
-    /// exception unwind, so a failed run still carries a partial breakdown.
-    /// Not owned; null = untraced.
+    /// → sim.golden → measure.plain → ee.search → measure.ee, with a sim.run
+    /// child inside each measure).  Spans close on exception unwind, so a
+    /// failed run still carries a partial breakdown.  Not owned; null =
+    /// untraced.
     obs::trace* trace = nullptr;
     /// Per-job flight recorder, threaded into both simulator engines and the
     /// EE search (progress beats at the cancel-check cadence).  Not owned;

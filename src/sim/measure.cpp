@@ -1,5 +1,6 @@
 #include "sim/measure.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -11,118 +12,6 @@
 
 namespace plee::sim {
 
-namespace {
-
-[[noreturn]] void throw_mismatch(const measure_options& options,
-                                 std::size_t mismatched, std::size_t total) {
-    throw plee_error(
-        "measure_average_delay[" +
-            (options.sim.label.empty() ? "?" : options.sim.label) +
-            "]: PL outputs diverge from the synchronous golden model on " +
-            std::to_string(mismatched) + " of " + std::to_string(total) +
-            " waves",
-        failure_class::permanent);
-}
-
-/// Sequential-wave protocol: one run over all vectors, golden-checked
-/// against the scalar synchronous model wave by wave.
-void measure_serial(const pl::pl_netlist& pl, const nl::netlist* golden,
-                    const measure_options& options,
-                    const std::vector<stimulus_block>& blocks,
-                    measure_result& result) {
-    pl_simulator simulator(pl, options.sim);
-    std::vector<wave_record> waves;
-    {
-        const obs::scoped_span span(options.trace, "sim.run");
-        const wall_timer timer;
-        waves = simulator.run_packed(blocks);
-        result.sim_wall_ms = timer.elapsed_ms();
-    }
-    result.stats = simulator.stats();
-
-    if (golden != nullptr) {
-        const obs::scoped_span span(options.trace, "sim.golden");
-        nl::sync_simulator gold(*golden);
-        std::vector<bool> inputs;
-        for (std::size_t w = 0; w < waves.size(); ++w) {
-            blocks[w / k_lanes].extract(w % k_lanes, inputs);
-            gold.set_inputs(inputs);
-            gold.eval();
-            if (!gold.outputs_equal(waves[w].outputs)) ++result.mismatched_waves;
-            gold.latch();
-        }
-        if (result.mismatched_waves > 0 && options.require_functional_match) {
-            throw_mismatch(options, result.mismatched_waves, waves.size());
-        }
-    }
-
-    result.delays.reserve(waves.size());
-    for (const wave_record& w : waves) result.delays.push_back(w.delay());
-}
-
-/// Lane-parallel protocol: 64 independent single-vector runs per block,
-/// golden-checked against the 64-lane synchronous model word-wide.
-void measure_lanes(const pl::pl_netlist& pl, const nl::netlist* golden,
-                   const measure_options& options,
-                   const std::vector<stimulus_block>& blocks,
-                   measure_result& result) {
-    pl_simulator simulator(pl, options.sim);
-    std::vector<lane_block_result> lane_results;
-    lane_results.reserve(blocks.size());
-    sim_run_stats total{};
-    {
-        const obs::scoped_span span(options.trace, "sim.run");
-        const wall_timer timer;
-        for (const stimulus_block& block : blocks) {
-            lane_results.push_back(simulator.run_lanes(block));
-            const sim_run_stats& s = simulator.stats();
-            total.events += s.events;
-            total.firings += s.firings;
-            total.ee_hits += s.ee_hits;
-            total.ee_misses += s.ee_misses;
-            total.ee_wins += s.ee_wins;
-            total.lane_blocks += s.lane_blocks;
-            total.lane_vectors += s.lane_vectors;
-            total.lane_runs += s.lane_runs;
-            total.lane_splits += s.lane_splits;
-        }
-        result.sim_wall_ms = timer.elapsed_ms();
-    }
-    result.stats = total;
-
-    if (golden != nullptr) {
-        const obs::scoped_span span(options.trace, "sim.golden");
-        nl::sync_lane_simulator gold(*golden);
-        std::vector<std::uint64_t> expected(golden->outputs().size());
-        std::size_t mismatched = 0;
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-            gold.reset();
-            gold.set_inputs(blocks[b].words.data(), blocks[b].width);
-            gold.eval();
-            gold.output_values(expected.data());
-            std::uint64_t diff = 0;
-            const std::uint64_t mask = blocks[b].lane_mask();
-            for (std::size_t j = 0; j < expected.size(); ++j) {
-                diff |= (lane_results[b].outputs[j] ^ expected[j]) & mask;
-            }
-            mismatched += static_cast<std::size_t>(std::popcount(diff));
-        }
-        result.mismatched_waves = mismatched;
-        if (mismatched > 0 && options.require_functional_match) {
-            throw_mismatch(options, mismatched, options.num_vectors);
-        }
-    }
-
-    result.delays.reserve(options.num_vectors);
-    for (const lane_block_result& r : lane_results) {
-        for (std::size_t lane = 0; lane < r.num_vectors; ++lane) {
-            result.delays.push_back(r.delay(lane));
-        }
-    }
-}
-
-}  // namespace
-
 std::vector<std::vector<bool>> random_vectors(std::size_t count, std::size_t width,
                                               std::uint64_t seed) {
     const std::vector<stimulus_block> blocks = make_stimulus(count, width, seed);
@@ -133,22 +22,126 @@ std::vector<std::vector<bool>> random_vectors(std::size_t count, std::size_t wid
     return vectors;
 }
 
-measure_result measure_average_delay(const pl::pl_netlist& pl,
-                                     const nl::netlist* golden,
-                                     const measure_options& options) {
+reference make_reference(const nl::netlist* golden, std::size_t width,
+                         const measure_options& options) {
     if (options.lanes != 1 && options.lanes != k_lanes) {
         throw std::invalid_argument(
             "measure_average_delay: lanes must be 1 or 64");
     }
-    const std::vector<stimulus_block> blocks =
-        make_stimulus(options.num_vectors, pl.sources().size(), options.seed);
+    reference ref;
+    ref.width = width;
+    ref.lanes = options.lanes;
+    ref.blocks = make_stimulus(options.num_vectors, width, options.seed);
+    if (golden == nullptr) return ref;
 
-    measure_result result;
-    result.lanes = options.lanes;
+    const obs::scoped_span span(options.trace, "sim.golden");
+    const std::vector<nl::cell_id>& outs = golden->outputs();
+    ref.expected.assign(ref.blocks.size() * outs.size(), 0);
     if (options.lanes == 1) {
-        measure_serial(pl, golden, options, blocks, result);
+        // One sequential run: the register state carries across vectors.
+        nl::sync_simulator gold(*golden);
+        std::vector<bool> inputs;
+        for (std::size_t v = 0; v < options.num_vectors; ++v) {
+            ref.blocks[v / k_lanes].extract(v % k_lanes, inputs);
+            gold.set_inputs(inputs);
+            gold.eval();
+            std::uint64_t* words = &ref.expected[v / k_lanes * outs.size()];
+            for (std::size_t j = 0; j < outs.size(); ++j) {
+                words[j] |= std::uint64_t{gold.value_of(outs[j])} << (v % k_lanes);
+            }
+            gold.latch();
+        }
     } else {
-        measure_lanes(pl, golden, options, blocks, result);
+        // Independent vectors: every lane starts from reset.
+        nl::sync_lane_simulator gold(*golden);
+        for (std::size_t b = 0; b < ref.blocks.size(); ++b) {
+            gold.reset();
+            gold.set_inputs(ref.blocks[b].words.data(), width);
+            gold.eval();
+            gold.output_values(&ref.expected[b * outs.size()]);
+        }
+    }
+    return ref;
+}
+
+measure_result measure_average_delay(const pl::pl_netlist& pl,
+                                     const nl::netlist* golden,
+                                     const measure_options& options) {
+    return measure_average_delay(
+        pl, make_reference(golden, pl.sources().size(), options), options);
+}
+
+measure_result measure_average_delay(const pl::pl_netlist& pl,
+                                     const reference& ref,
+                                     const measure_options& options) {
+    const std::size_t outputs = pl.sinks().size();
+    if (ref.width != pl.sources().size() || ref.lanes != options.lanes ||
+        (!ref.expected.empty() &&
+         ref.expected.size() != ref.blocks.size() * outputs)) {
+        throw std::invalid_argument(
+            "measure_average_delay: the reference does not fit the PL netlist "
+            "or the lane count");
+    }
+    measure_result result;
+    result.lanes = ref.lanes;
+    pl_simulator simulator(pl, options.sim);
+    std::vector<wave_record> waves;             // lanes == 1
+    std::vector<lane_block_result> lane_results;  // lanes == 64
+    {
+        const obs::scoped_span span(options.trace, "sim.run");
+        const wall_timer timer;
+        if (ref.lanes == 1) {
+            // Sequential-wave protocol: one run over all vectors.
+            waves = simulator.run_packed(ref.blocks);
+            result.stats = simulator.stats();
+        } else {
+            // Lane-parallel protocol: 64 independent single-vector runs per
+            // block.
+            for (const stimulus_block& block : ref.blocks) {
+                lane_results.push_back(simulator.run_lanes(block));
+                result.stats += simulator.stats();
+            }
+        }
+        result.sim_wall_ms = timer.elapsed_ms();
+    }
+
+    // The PL outputs, packed like reference::expected.
+    std::vector<std::uint64_t> actual(ref.blocks.size() * outputs, 0);
+    for (std::size_t w = 0; w < waves.size(); ++w) {
+        for (std::size_t j = 0; j < outputs; ++j) {
+            actual[w / k_lanes * outputs + j] |= std::uint64_t{waves[w].outputs[j]}
+                                                 << (w % k_lanes);
+        }
+        result.delays.push_back(waves[w].delay());
+    }
+    for (std::size_t b = 0; b < lane_results.size(); ++b) {
+        std::copy(lane_results[b].outputs.begin(), lane_results[b].outputs.end(),
+                  actual.begin() + static_cast<std::ptrdiff_t>(b * outputs));
+        for (std::size_t lane = 0; lane < lane_results[b].num_vectors; ++lane) {
+            result.delays.push_back(lane_results[b].delay(lane));
+        }
+    }
+
+    // The golden check, one word XOR per output and block for both protocols.
+    if (!ref.expected.empty()) {
+        std::size_t mismatched = 0;
+        for (std::size_t b = 0; b < ref.blocks.size(); ++b) {
+            std::uint64_t diff = 0;
+            for (std::size_t k = b * outputs; k < (b + 1) * outputs; ++k) {
+                diff |= actual[k] ^ ref.expected[k];
+            }
+            mismatched += static_cast<std::size_t>(
+                std::popcount(diff & ref.blocks[b].lane_mask()));
+        }
+        if (mismatched > 0) {
+            throw plee_error(
+                "measure_average_delay[" +
+                    (options.sim.label.empty() ? "?" : options.sim.label) +
+                    "]: PL outputs diverge from the synchronous golden model on " +
+                    std::to_string(mismatched) + " of " +
+                    std::to_string(result.delays.size()) + " waves",
+                failure_class::permanent);
+        }
     }
 
     double sum = 0.0;

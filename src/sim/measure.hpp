@@ -11,6 +11,10 @@
 // against the synchronous simulation, proving the PL mapping (and any Early
 // Evaluation circuitry) functionally transparent.
 //
+// One `reference` (the stimulus plus the golden outputs, both packed in the
+// stimulus blocks' layout) serves every measurement of a circuit, and both
+// protocols check against it with one word-XOR/popcount pass.
+//
 // Two stimulus protocols, selected by measure_options::lanes:
 //
 //  * lanes == 1 (default) — the paper's sequential protocol: one simulator
@@ -19,9 +23,9 @@
 //  * lanes == 64 — the throughput protocol: each vector is an independent
 //    single-vector simulation from reset, and 64 of them go through one
 //    lane-parallel sweep (pl_simulator::run_lanes).  Per-vector results are
-//    bit-identical to running each vector alone; the golden check runs
-//    through the 64-lane synchronous model.  This is the path the
-//    BENCH_sim.json `lanes` row measures.
+//    bit-identical to running each vector alone; the golden reference comes
+//    from the 64-lane synchronous model, reset per block.  This is the path
+//    the BENCH_sim.json `lanes` row measures.
 //
 // The two protocols measure different quantities for sequential hand-off
 // reasons (wave k's delay starts at wave k-1's stabilization in the
@@ -50,8 +54,6 @@ struct measure_options {
     /// throws std::invalid_argument.
     std::size_t lanes = 1;
     sim_options sim{};
-    /// Throw std::logic_error if PL outputs diverge from the golden netlist.
-    bool require_functional_match = true;
     /// Per-job trace to hang "sim.run" / "sim.golden" spans on.  Not owned;
     /// null = untraced.
     obs::trace* trace = nullptr;
@@ -68,7 +70,6 @@ struct measure_result {
     double stddev = 0.0;
     std::vector<double> delays;  ///< per vector
     sim_run_stats stats;
-    std::size_t mismatched_waves = 0;
     /// Wall time of the event-simulation run itself (excludes the golden
     /// comparison) — with stats.events this yields sim events/s, with
     /// delays.size() vectors/s.
@@ -93,8 +94,31 @@ struct measure_result {
 std::vector<std::vector<bool>> random_vectors(std::size_t count, std::size_t width,
                                               std::uint64_t seed);
 
-/// Runs the measurement protocol.  `golden` may be null to skip the
-/// functional comparison (e.g. for hand-built PL netlists).
+/// One circuit's measurement stimulus and its golden outputs.
+struct reference {
+    std::size_t width = 0;  ///< inputs per vector
+    std::size_t lanes = 1;  ///< the protocol the golden outputs follow
+    std::vector<stimulus_block> blocks;
+    /// Golden outputs in the blocks' layout: word b * outputs + j holds
+    /// output j of block b, bit L = vector 64*b + L.  Empty = unchecked.
+    std::vector<std::uint64_t> expected;
+};
+
+/// Draws options.num_vectors vectors of `width` inputs; a non-null `golden`
+/// runs once over them under the options.lanes protocol ("sim.golden"
+/// span).  Throws std::invalid_argument unless lanes is 1 or 64.
+reference make_reference(const nl::netlist* golden, std::size_t width,
+                         const measure_options& options);
+
+/// Measures `pl` on ref's stimulus; throws the permanent plee_error when a
+/// vector's outputs differ from ref.expected, std::invalid_argument when
+/// `ref` does not fit `pl` (inputs, outputs) or options.lanes.
+measure_result measure_average_delay(const pl::pl_netlist& pl,
+                                     const reference& ref,
+                                     const measure_options& options);
+
+/// make_reference followed by the measurement.  `golden` may be null to
+/// skip the functional comparison (e.g. for hand-built PL netlists).
 measure_result measure_average_delay(const pl::pl_netlist& pl,
                                      const nl::netlist* golden,
                                      const measure_options& options = {});

@@ -21,18 +21,6 @@ std::uint64_t over_budget(std::uint64_t max_events) {
                : max_events + 1;
 }
 
-/// Field-by-field stats accumulation for the serial fallback: every counter
-/// a run produces is added, so nothing is silently dropped when summing
-/// per-lane runs into block totals.
-void add_run_stats(sim_run_stats& total, const sim_run_stats& s) {
-    total.events += s.events;
-    total.firings += s.firings;
-    total.ee_hits += s.ee_hits;
-    total.ee_misses += s.ee_misses;
-    total.ee_wins += s.ee_wins;
-    total.lane_splits += s.lane_splits;
-}
-
 }  // namespace
 
 const char* to_string(queue_kind kind) {
@@ -1051,11 +1039,11 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
             try {
                 recs = run(one);
             } catch (...) {
-                add_run_stats(total, stats_);
+                total += stats_;
                 stats_ = total;
                 throw;
             }
-            add_run_stats(total, stats_);
+            total += stats_;
             ++total.lane_runs;
             const wave_record& rec = recs.front();
             for (std::size_t j = 0; j < rec.outputs.size(); ++j) {

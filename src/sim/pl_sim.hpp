@@ -194,6 +194,22 @@ struct sim_run_stats {
     /// EE master firings whose mixed efire word made lane times diverge
     /// (the early path won on some lanes but not all).
     std::uint64_t lane_splits = 0;
+
+    /// Field-by-field accumulation: every counter a run produces is added,
+    /// so nothing is silently dropped when summing runs into totals.
+    sim_run_stats& operator+=(const sim_run_stats& s) {
+        events += s.events;
+        firings += s.firings;
+        ee_hits += s.ee_hits;
+        ee_misses += s.ee_misses;
+        ee_wins += s.ee_wins;
+        lane_blocks += s.lane_blocks;
+        lane_vectors += s.lane_vectors;
+        lane_runs += s.lane_runs;
+        lane_splits += s.lane_splits;
+        return *this;
+    }
+    bool operator==(const sim_run_stats&) const = default;
 };
 
 /// Result of one lane-parallel block run: per-lane measurements plus the

@@ -48,7 +48,6 @@ bool map_attempt_fails(const std::string& id, unsigned attempt) {
         fault::injector::hash(id + "#" + std::to_string(attempt)));
     try {
         fault::injector::instance().check("synth.map", 0);
-        fault::injector::instance().check("synth.map", 1);
         return false;
     } catch (const fault::injected_fault&) {
         return true;

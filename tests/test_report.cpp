@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
+#include "bench_circuits/itc99.hpp"
 #include "synth/rtl.hpp"
+#include "workload/workload.hpp"
 
 namespace plee::report {
 namespace {
@@ -90,6 +94,93 @@ TEST(Experiment, ThresholdSuppressesEe) {
     const experiment_row row = run_ee_experiment("suppressed", n, opts);
     EXPECT_EQ(row.ee_gates, 0u);
     EXPECT_EQ(row.area_increase_pct, 0.0);
+}
+
+/// The row against the pipeline composed stage by stage from the public
+/// API, each measurement with its own mapping, stimulus and golden run:
+/// map -> measure -> map -> EE -> measure.
+void expect_row_matches_composition(const std::string& name, const nl::netlist& n,
+                                    const experiment_options& opts) {
+    const std::string where = name + " lanes=" + std::to_string(opts.measure.lanes);
+    const experiment_row row = run_ee_experiment(name, n, opts);
+
+    const pl::map_result plain = pl::map_to_phased_logic(n, opts.map);
+    const sim::measure_result base =
+        sim::measure_average_delay(plain.pl, &n, opts.measure);
+    pl::map_result with_ee = pl::map_to_phased_logic(n, opts.map);
+    const ee::ee_stats es = ee::apply_early_evaluation(with_ee.pl, opts.ee);
+    const sim::measure_result early =
+        sim::measure_average_delay(with_ee.pl, &n, opts.measure);
+
+    EXPECT_EQ(row.description, name);
+    EXPECT_EQ(row.pl_gates, plain.pl.num_pl_gates()) << where;
+    EXPECT_EQ(row.ee_gates, with_ee.pl.num_trigger_gates()) << where;
+    EXPECT_EQ(row.delay_no_ee, base.avg_delay) << where;
+    EXPECT_EQ(row.delay_ee, early.avg_delay) << where;
+    EXPECT_EQ(row.delay_diff, base.avg_delay - early.avg_delay) << where;
+    EXPECT_EQ(row.area_increase_pct,
+              100.0 * static_cast<double>(row.ee_gates) /
+                  static_cast<double>(row.pl_gates))
+        << where;
+    EXPECT_EQ(row.delay_decrease_pct,
+              base.avg_delay == 0.0 ? 0.0 : 100.0 * row.delay_diff / base.avg_delay)
+        << where;
+    EXPECT_EQ(row.stats_no_ee, base.stats) << where;
+    EXPECT_EQ(row.stats_ee, early.stats) << where;
+    EXPECT_EQ(row.ee_detail.masters_considered, es.masters_considered) << where;
+    EXPECT_EQ(row.ee_detail.triggers_added, es.triggers_added) << where;
+    ASSERT_EQ(row.ee_detail.applied.size(), es.applied.size()) << where;
+    for (std::size_t i = 0; i < es.applied.size(); ++i) {
+        EXPECT_EQ(row.ee_detail.applied[i].master, es.applied[i].master) << where;
+        EXPECT_EQ(row.ee_detail.applied[i].trigger, es.applied[i].trigger) << where;
+        EXPECT_EQ(row.ee_detail.applied[i].candidate.function,
+                  es.applied[i].candidate.function)
+            << where;
+    }
+    EXPECT_EQ(row.lanes, opts.measure.lanes) << where;
+    EXPECT_EQ(row.vectors_measured, base.delays.size() + early.delays.size())
+        << where;
+    EXPECT_EQ(row.delay_hist_no_ee, base.delay_hist) << where;
+    EXPECT_EQ(row.delay_hist_ee, early.delay_hist) << where;
+}
+
+TEST(Experiment, RowsMatchTheStageByStageCompositionOnEveryPreset) {
+    for (const std::size_t lanes : {std::size_t{1}, sim::k_lanes}) {
+        for (const wl::scenario kind : wl::all_scenarios()) {
+            experiment_options opts;
+            opts.ee.num_threads = 1;
+            opts.measure.lanes = lanes;
+            opts.measure.num_vectors = lanes == 1 ? 100 : 128;
+            expect_row_matches_composition(
+                wl::to_string(kind),
+                wl::generate(wl::scenario_params(kind, 120, 3)), opts);
+        }
+    }
+}
+
+TEST(Experiment, RowsMatchTheStageByStageCompositionOnItc99) {
+    experiment_options opts;
+    opts.ee.num_threads = 1;
+    for (const bench::benchmark_info& b : bench::itc99_suite()) {
+        expect_row_matches_composition(b.id, b.build(), opts);
+    }
+}
+
+TEST(Experiment, EachStageRunsOncePerRow) {
+    obs::trace trace;
+    experiment_options opts;
+    opts.ee.num_threads = 1;
+    opts.trace = &trace;
+    run_ee_experiment("b05", bench::build_benchmark("b05"), opts);
+    const auto count = [&](const std::string& name) {
+        return std::count_if(trace.spans().begin(), trace.spans().end(),
+                             [&](const obs::span_record& s) { return s.name == name; });
+    };
+    EXPECT_EQ(count("map_to_pl.plain"), 1);
+    EXPECT_EQ(count("sim.golden"), 1);
+    EXPECT_EQ(count("sim.run"), 2);
+    EXPECT_EQ(count("ee.search"), 1);
+    EXPECT_EQ(trace.spans().size(), 7u);  // + measure.plain, measure.ee
 }
 
 TEST(Json, SerializesNestedValuesDeterministically) {
