@@ -1,9 +1,8 @@
 // splitmix64.hpp — the repository's one splitmix64 finalizer.
 //
-// The workload generator's random stream, the fault injector's stateless
-// draws and the runner's retry jitter all rely on this exact constant/shift
-// sequence — the generator for its byte-identical-per-seed determinism
-// contract.  Keep the single definition here so they can never drift apart.
+// The workload generator's random stream and the fault injector's
+// stateless draws both rely on this exact constant/shift sequence — the
+// generator for its byte-identical-per-seed determinism contract.  Keep the single definition here so they can never drift apart.
 
 #pragma once
 

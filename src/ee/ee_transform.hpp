@@ -37,7 +37,7 @@ struct ee_options {
     /// owned; null = never cancelled.
     cancel_token* cancel = nullptr;
     /// Job context for cancellation messages and fault-injection scoping
-    /// ("b05#2" = job id, attempt 2).  Empty is fine for standalone passes.
+    /// (the job id, e.g. "b05").  Empty is fine for standalone passes.
     std::string context;
     /// Flight recorder: every worker records an "ee.chunk" event per
     /// work-queue chunk it claims (the same cadence as the cancel poll), so

@@ -1,7 +1,9 @@
 #include "fault/injector.hpp"
 
 #include <array>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 
@@ -26,6 +28,15 @@ double stateless_draw(std::uint64_t seed, const char* point,
         seed ^ bf::splitmix64(injector::hash(point) ^ t_scope) ^
         bf::splitmix64(site));
     return static_cast<double>(u >> 11) * (1.0 / 9007199254740992.0);  // 2^-53
+}
+
+/// True when all of `text` parses as a T: no empty, partial or
+/// out-of-range values.
+template <typename T>
+bool parse_whole(const std::string& text, T& value) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    return ec == std::errc{} && ptr == end;
 }
 
 }  // namespace
@@ -92,7 +103,10 @@ void injector::configure(const std::string& spec) {
             const std::string key = entry.substr(0, eq);
             const std::string value = entry.substr(eq + 1);
             if (key == "seed") {
-                seed = std::strtoull(value.c_str(), nullptr, 10);
+                if (!parse_whole(value, seed)) {
+                    throw std::invalid_argument(
+                        "fault::injector: bad seed '" + value + "'");
+                }
             } else {
                 if (!known_point(key)) {
                     throw std::invalid_argument(
@@ -102,22 +116,17 @@ void injector::configure(const std::string& spec) {
                 const std::size_t colon = value.find(':');
                 const std::string prob =
                     colon == std::string::npos ? value : value.substr(0, colon);
-                char* parse_end = nullptr;
-                config.probability = std::strtod(prob.c_str(), &parse_end);
-                if (parse_end == prob.c_str() || config.probability < 0.0 ||
-                    config.probability > 1.0) {
+                if (!parse_whole(prob, config.probability) ||
+                    !(config.probability >= 0.0 && config.probability <= 1.0)) {
                     throw std::invalid_argument(
                         "fault::injector: bad probability '" + prob + "'");
                 }
                 if (colon != std::string::npos) {
                     const std::string kind = value.substr(colon + 1);
-                    if (kind == "transient") {
-                        config.cls = failure_class::transient;
-                    } else if (kind == "permanent") {
-                        config.cls = failure_class::permanent;
-                    } else if (kind.rfind("delay=", 0) == 0) {
-                        config.delay_ms = std::strtod(kind.c_str() + 6, nullptr);
-                        if (config.delay_ms <= 0.0) {
+                    if (kind.starts_with("delay=")) {
+                        if (!parse_whole(kind.substr(6), config.delay_ms) ||
+                            !(config.delay_ms > 0.0 &&
+                              std::isfinite(config.delay_ms))) {
                             throw std::invalid_argument(
                                 "fault::injector: bad delay '" + kind + "'");
                         }
@@ -167,7 +176,7 @@ void injector::check_slow(const char* point, std::uint64_t site) {
             std::chrono::duration<double, std::milli>(config.delay_ms));
         return;
     }
-    throw injected_fault(point, site, config.cls);
+    throw injected_fault(point, site);
 }
 
 }  // namespace plee::fault

@@ -1,7 +1,7 @@
 // injector.hpp — deterministic fault-injection harness.
 //
-// Every recovery path in the fleet runner (typed failure statuses, retry
-// with backoff, graceful aggregation around failed jobs) exists to handle
+// Every recovery path in the fleet runner (typed failure statuses,
+// deadlines, graceful aggregation around failed jobs) exists to handle
 // events that never occur in a healthy deterministic pipeline.  Rather than
 // trusting that code, the pipeline carries named injection points — inert
 // single-atomic-load checks compiled in always — that a test or the
@@ -14,7 +14,7 @@
 //
 // Decisions are *stateless*: whether a check fires depends only on
 // (seed, point, scope, site) where `scope` is a thread-local context hash
-// (the runner scopes each attempt as "jobid#attempt") and `site` is the
+// (the runner scopes each job by its id) and `site` is the
 // caller's stable position (event count, chunk index).  No draw
 // order, no shared RNG state — so which jobs fail is bit-identical across
 // thread counts and interleavings, which is what lets tests assert exact
@@ -24,10 +24,11 @@
 //
 //   SPEC  := entry (';' entry)*
 //   entry := 'seed=' N
-//          | POINT '=' PROB                       (throw, transient)
-//          | POINT '=' PROB ':transient'          (throw, transient)
-//          | POINT '=' PROB ':permanent'          (throw, permanent)
+//          | POINT '=' PROB                       (throw injected_fault)
 //          | POINT '=' PROB ':delay=' MS          (sleep MS milliseconds)
+//
+// Every number must parse whole: empty, partial ("0.5x", "5ms") and
+// out-of-range values are rejected.
 //
 // e.g.  --inject 'seed=42;ee.search=0.5;sim.fire=1:delay=5'
 
@@ -43,15 +44,12 @@
 
 namespace plee::fault {
 
-/// The exception an armed throwing point raises; classification follows the
-/// point's configuration.
+/// The exception an armed throwing point raises.
 class injected_fault : public plee_error {
 public:
-    injected_fault(const std::string& point, std::uint64_t site,
-                   failure_class cls)
+    injected_fault(const std::string& point, std::uint64_t site)
         : plee_error("injected fault at " + point + " (site " +
-                         std::to_string(site) + ", " + to_string(cls) + ")",
-                     cls),
+                     std::to_string(site) + ")"),
           point_(point) {}
 
     const std::string& point() const { return point_; }
@@ -61,9 +59,8 @@ private:
 };
 
 struct point_config {
-    double probability = 0.0;                     ///< [0, 1]
-    failure_class cls = failure_class::transient; ///< class of the throw
-    double delay_ms = 0.0;  ///< > 0: sleep instead of throwing
+    double probability = 0.0;  ///< [0, 1]
+    double delay_ms = 0.0;     ///< > 0: sleep instead of throwing
 };
 
 class injector {
@@ -94,7 +91,7 @@ public:
         check_slow(point, site);
     }
 
-    /// Scopes checks on this thread to a job context (hash of "id#attempt");
+    /// Scopes checks on this thread to a job context (hash of the job id);
     /// nested scopes restore the outer one on destruction.
     class scope {
     public:

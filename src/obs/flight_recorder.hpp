@@ -5,8 +5,8 @@
 // moments before*.  The flight recorder answers that: a fixed-size ring of
 // the last ~128 coarse events — simulator progress beats (one per
 // k_cancel_check_events = 1024 events, riding the cancel-poll branch the hot
-// loops already take), EE-search chunk starts, fault injections, retries and
-// error sites — dumped into the failure report for non-ok jobs.  Healthy
+// loops already take), EE-search chunk starts, fault injections and error
+// sites — dumped into the failure report for non-ok jobs.  Healthy
 // jobs pay for the recording but never serialize it.
 //
 // Cost model: record() takes a mutex, but is called at the cancel-check

@@ -54,8 +54,7 @@ public:
     /// innermost-first) is well-defined.
     void close(std::size_t index);
 
-    /// Drops all spans and re-arms the epoch (per-attempt reuse in the
-    /// runner: a retried job reports only its final attempt's spans).
+    /// Drops all spans and re-arms the epoch.
     void clear();
 
     const std::vector<span_record>& spans() const { return spans_; }

@@ -16,7 +16,7 @@ experiment_row run_ee_experiment(const std::string& description,
     row.description = description;
 
     // One failure context for the whole run: typed errors and injected-fault
-    // decisions key on it, so a fleet log line names the job and attempt.
+    // decisions key on it, so a fleet log line names the job.
     const std::string context =
         options.fault_context.empty() ? description : options.fault_context;
     fault::injector::scope fault_scope(fault::injector::hash(context));

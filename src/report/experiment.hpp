@@ -33,7 +33,7 @@ struct experiment_options {
     /// loops.  Expiry raises plee::job_timeout.  Not owned.
     cancel_token* cancel = nullptr;
     /// Failure context threaded into every typed error and fault-injection
-    /// scope; the fleet runner sets "jobid#attempt", standalone runs default
+    /// scope; the fleet runner sets the job id, standalone runs default
     /// to the row description.
     std::string fault_context;
     /// Per-job trace: the pipeline opens one span per stage (map_to_pl.plain

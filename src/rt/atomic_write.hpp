@@ -15,8 +15,8 @@
 namespace plee {
 
 /// Atomically replaces `path` with `text` (temp file + fsync + rename +
-/// directory fsync).  Throws plee::plee_error, classified transient, on any
-/// I/O failure; the temp file is removed and `path` is left untouched.
+/// directory fsync).  Throws plee::plee_error on any I/O failure; the temp
+/// file is removed and `path` is left untouched.
 void atomic_write_text(const std::string& path, const std::string& text);
 
 }  // namespace plee

@@ -14,15 +14,13 @@
 // thread count and any work interleaving.  Only the wall-clock figures vary.
 //
 // Failure contract (graceful degradation): one pathological job must not
-// discard the rest of the fleet.  Each job runs under its own cancel token
-// (deadline = fleet_options::job_deadline_ms) and lands in one of the
-// job_status states; failed/timed-out/budget-exhausted jobs keep their
-// error text and are skipped by every fleet aggregate, and the fleet
-// completes with partial results.  Transient-classified failures (see
-// rt/errors.hpp; in practice injected faults and future external
-// resources) are retried up to max_retries times with deterministic
-// exponential backoff.  fail_fast restores the old throw-after-join
-// behavior.  See src/runner/README.md for the full semantics.
+// discard the rest of the fleet.  Each job runs the pipeline exactly once
+// under its own cancel token (deadline = fleet_options::job_deadline_ms)
+// and lands in one of the job_status states; failed/timed-out/budget-
+// exhausted jobs keep their error text and are skipped by every fleet
+// aggregate, and the fleet completes with partial results.  A failed job
+// is not run again: the pipeline is deterministic, so a second run would
+// repeat the failure.  See src/runner/README.md for the full semantics.
 
 #pragma once
 
@@ -43,7 +41,7 @@ namespace plee::runner {
 /// hence BENCH_fleet.json).  Artifacts without the field predate versioning
 /// (read them as version 0); bump this on any breaking shape change.  See
 /// docs/schemas.md.
-inline constexpr int k_fleet_schema_version = 3;
+inline constexpr int k_fleet_schema_version = 4;
 
 /// One circuit to push through the pipeline.
 struct fleet_job {
@@ -56,28 +54,15 @@ struct fleet_job {
     std::uint64_t max_events = 0;
 };
 
-/// Terminal state of one job after all its attempts.
+/// Terminal state of one job.  Only ok rows enter fleet aggregates.
 enum class job_status : std::uint8_t {
-    ok,                ///< first attempt succeeded
-    retried_ok,        ///< succeeded after >= 1 transient-failure retries
-    failed,            ///< permanent failure (or retries exhausted)
+    ok,                ///< the pipeline ran to completion
+    failed,            ///< any other pipeline error
     timed_out,         ///< job_deadline_ms expired (cooperative cancel)
     budget_exhausted,  ///< simulator event budget tripped
 };
 
 const char* to_string(job_status status);
-
-/// ok and retried_ok are the states whose rows enter fleet aggregates.
-inline bool job_succeeded(job_status status) {
-    return status == job_status::ok || status == job_status::retried_ok;
-}
-
-/// Backoff before retrying `job_id` after failed attempt `attempt`
-/// (1-based): base * 2^(attempt-1) plus a deterministic per-(job, attempt)
-/// jitter in [0, base) — exponential, decorrelated across jobs, and
-/// reproducible run-to-run (no RNG state).
-double retry_backoff_ms(const std::string& job_id, unsigned attempt,
-                        double base_ms);
 
 struct fleet_options {
     /// Threads for the whole fleet.  0 = one per hardware thread.  The
@@ -88,19 +73,11 @@ struct fleet_options {
     /// Per-circuit pipeline knobs (mapping, EE search, measurement).  The
     /// runner owns ee.num_threads; a value set there is overridden per job.
     report::experiment_options experiment{};
-    /// Per-job wall-clock deadline in ms (0 = none).  Each attempt gets a
+    /// Per-job wall-clock deadline in ms (0 = none).  Each job gets a
     /// fresh cancel token armed with this deadline; the pipeline stages poll
     /// it cooperatively, so a hung job lands in timed_out within a bounded
     /// overshoot (one cancel-check interval) instead of hanging its worker.
     double job_deadline_ms = 0.0;
-    /// Extra attempts granted to transient-classified failures (permanent
-    /// failures, timeouts and budget exhaustion never retry).
-    unsigned max_retries = 0;
-    /// Base of the exponential retry backoff (see retry_backoff_ms).
-    double retry_backoff_base_ms = 5.0;
-    /// Restore the pre-robustness contract: after all workers join, rethrow
-    /// the first failed job's exception instead of returning partial results.
-    bool fail_fast = false;
     /// Telemetry master switch.  On (default): every job runs with a trace
     /// (stage spans land in job_result::spans), a flight recorder (dumped
     /// into job_result::flight for non-ok jobs), per-vector delay histograms,
@@ -109,7 +86,7 @@ struct fleet_options {
     /// overhead A/B in bench_fleet_scaling.
     bool telemetry = true;
     /// Fleet-wide interrupt token (the tools' SIGINT/SIGTERM hook): chained
-    /// as the parent of every per-attempt job token, and polled between
+    /// as the parent of every job token, and polled between
     /// jobs, so one cancel() stops the whole fleet at its next checks.
     /// Must outlive run_fleet.
     const cancel_token* fleet_cancel = nullptr;
@@ -118,12 +95,11 @@ struct fleet_options {
 struct job_result {
     std::string id;
     report::experiment_row row;  ///< default-initialized unless the job succeeded
-    double wall_ms = 0.0;   ///< this job's wall time across all its attempts
+    double wall_ms = 0.0;  ///< this job's wall time
     job_status status = job_status::ok;
-    std::string error;      ///< what() of the final failure; empty on success
-    unsigned attempts = 1;  ///< pipeline runs consumed (1 = no retries)
-    /// Stage-span breakdown of the *final* attempt (partial but well-formed
-    /// when that attempt died mid-stage).  Empty with telemetry off.
+    std::string error;     ///< what() of the failure; empty on success
+    /// Stage-span breakdown (partial but well-formed when the job died
+    /// mid-stage).  Empty with telemetry off.
     std::vector<obs::span_record> spans;
     /// Flight-recorder dump — the job's last ~128 progress/fault/error
     /// events.  Populated only for non-ok jobs (the post-mortem payload);
@@ -136,13 +112,11 @@ struct fleet_result {
     unsigned threads = 1;
     double wall_ms = 0.0;  ///< whole-fleet wall time
 
-    // Outcome census.  jobs_ok counts ok + retried_ok; jobs_retried counts
-    // every job whose attempts > 1 (including ones that still failed).
+    // Outcome census, one count per job_status.
     std::size_t jobs_ok = 0;
     std::size_t jobs_failed = 0;
     std::size_t jobs_timed_out = 0;
     std::size_t jobs_budget_exhausted = 0;
-    std::size_t jobs_retried = 0;
 
     bool all_ok() const { return jobs_ok == results.size(); }
 
@@ -200,8 +174,7 @@ struct fleet_result {
 
 /// Runs every job through the pipeline across the worker pool.  Always
 /// returns all jobs.size() results (graceful degradation — inspect
-/// job_result::status); with options.fail_fast, rethrows the first failed
-/// job's exception after all workers join instead.
+/// job_result::status).
 fleet_result run_fleet(const std::vector<fleet_job>& jobs,
                        const fleet_options& options = {});
 

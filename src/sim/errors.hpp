@@ -7,8 +7,8 @@
 // got, or on which engine.  Each type here carries the circuit label
 // (sim_options::label, set by the fleet runner to the job id), the event
 // count at failure and the queue engine, and renders them into what(), so a
-// single log line is actionable.  All are permanent (the simulator is
-// deterministic given its stimulus).
+// single log line is actionable.  The simulator is deterministic given its
+// stimulus, so each one recurs on every run of the same job.
 
 #pragma once
 
@@ -26,8 +26,7 @@ public:
               std::uint64_t events, const char* queue)
         : plee_error("pl_simulator[" + (label.empty() ? "?" : label) +
                          "]: " + message + " (after " + std::to_string(events) +
-                         " events, " + queue + " queue)",
-                     failure_class::permanent),
+                         " events, " + queue + " queue)"),
           events_(events) {}
 
     std::uint64_t events() const { return events_; }

@@ -139,8 +139,7 @@ measure_result measure_average_delay(const pl::pl_netlist& pl,
                     (options.sim.label.empty() ? "?" : options.sim.label) +
                     "]: PL outputs diverge from the synchronous golden model on " +
                     std::to_string(mismatched) + " of " +
-                    std::to_string(result.delays.size()) + " waves",
-                failure_class::permanent);
+                    std::to_string(result.delays.size()) + " waves");
         }
     }
 

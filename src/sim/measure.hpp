@@ -110,7 +110,7 @@ struct reference {
 reference make_reference(const nl::netlist* golden, std::size_t width,
                          const measure_options& options);
 
-/// Measures `pl` on ref's stimulus; throws the permanent plee_error when a
+/// Measures `pl` on ref's stimulus; throws plee_error when a
 /// vector's outputs differ from ref.expected, std::invalid_argument when
 /// `ref` does not fit `pl` (inputs, outputs) or options.lanes.
 measure_result measure_average_delay(const pl::pl_netlist& pl,

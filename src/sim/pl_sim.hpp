@@ -125,7 +125,7 @@ struct sim_options {
     /// Engine selection (see queue_kind).
     queue_kind queue = queue_kind::calendar;
     /// Circuit/job label embedded in every typed simulator failure, so fleet
-    /// logs can attribute a throw to its job ("b05", "datapath-like/3#2").
+    /// logs can attribute a throw to its job ("b05", "datapath-like/3").
     std::string label;
     /// Cooperative cancellation: every engine polls the token once per
     /// k_cancel_check_events deposits and raises plee::job_timeout

@@ -55,6 +55,15 @@ elseif(CASE STREQUAL "bad_number")
   # "1O0" (letter O) is a partial number: rejected, not read as 1.
   expect_run(1 "--vectors: invalid value '1O0'.*usage: plee_fleet"
              --circuits b05 --vectors 1O0)
+elseif(CASE STREQUAL "retired_flags")
+  # Each job runs once, so the retry and fail-fast flags are gone; a stale
+  # command line fails loudly, naming the option.
+  expect_run(1 "unknown option: --max-retries.*usage: plee_fleet"
+             --circuits b05 --max-retries 2)
+  expect_run(1 "unknown option: --fail-fast.*usage: plee_fleet"
+             --circuits b05 --fail-fast)
+  expect_run(1 "unknown action 'transient'.*usage: plee_fleet"
+             --circuits b05 --inject synth.map=0.4:transient)
 elseif(CASE STREQUAL "truncated_blif")
   # A BLIF file cut off inside a cover row.
   file(WRITE "${WORK_DIR}/truncated.blif"

@@ -108,7 +108,6 @@ TEST(BlifFuzz, MissingEndIsTruncationError) {
         FAIL() << "deck without .end parsed";
     } catch (const blif_error& e) {
         EXPECT_NE(std::string(e.what()).find("missing .end"), std::string::npos);
-        EXPECT_EQ(e.classify(), failure_class::permanent);
     }
 }
 
@@ -158,8 +157,8 @@ TEST(BlifFuzz, TargetedMalformationsRaiseBlifError) {
         try {
             from_blif_string(c.text);
             FAIL() << c.why << ": parsed without error";
-        } catch (const blif_error& e) {
-            EXPECT_EQ(e.classify(), failure_class::permanent) << c.why;
+        } catch (const blif_error&) {
+            // The typed rejection this case wants.
         } catch (const std::exception& e) {
             FAIL() << c.why << ": wrong exception type: " << e.what();
         }

