@@ -3,7 +3,6 @@
 #include <atomic>
 #include <exception>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 
 #include "fault/injector.hpp"
@@ -117,11 +116,6 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
             pl.attach_trigger(jobs[i].master, best[i]->function, best[i]->support);
         stats.applied.push_back({jobs[i].master, trig, *best[i]});
         ++stats.triggers_added;
-    }
-
-    if (const pl::mg_report report = pl.verify(); !report.ok()) {
-        throw std::logic_error("apply_early_evaluation: marked graph invalid: " +
-                               report.violation);
     }
 
     // Process-wide pass accounting; one flush per transform, not per gate.

@@ -3,9 +3,9 @@
 // "EE circuitry was added to all PL gates where a speedup was possible"
 // (Section 4): for every compute gate, run the trigger search weighted by the
 // gate's input arrival depths; when an implementable candidate exists, attach
-// a trigger gate (the paper's master/trigger EE pair, Figure 2).  The pass
-// always re-verifies the marked graph afterwards — the added edges form
-// single-token cycles by construction, so liveness and safety are preserved.
+// a trigger gate (the paper's master/trigger EE pair, Figure 2).  The added
+// edges form single-token cycles by construction, so liveness and safety are
+// preserved; the postcondition is tested against marked_graph::verify().
 //
 // Setting `search.cost_threshold` > 0 reproduces the paper's area/delay
 // trade-off: "Thresholding the cost function allows for a tradeoff in area

@@ -17,6 +17,10 @@
 // The checks run in O(V·E/64) using bitset reachability over the token-free
 // subgraph, which keeps full verification practical even for the
 // multi-thousand-gate CPU benchmarks.
+//
+// verify() is the oracle, off the job path: tests, examples and
+// `plee_fleet --report` call it, and tests hold pl_simulator's structural
+// check (pl::find_unsafe_edge plus never-firing gates) to it.
 
 #pragma once
 

@@ -257,11 +257,6 @@ map_result map_to_phased_logic(const nl::netlist& input, const map_options& opti
             ++result.stats.acks_added;
         }
     }
-
-    if (const mg_report report = pl.verify(); !report.ok()) {
-        throw std::logic_error("map_to_phased_logic: marked graph invalid: " +
-                               report.violation);
-    }
     return result;
 }
 

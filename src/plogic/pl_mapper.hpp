@@ -15,8 +15,8 @@
 //   2. sibling sharing: among consumers of one producer, a consumer that
 //      reaches an acknowledged sibling consumer token-free is covered by the
 //      sibling's ack.
-// The mapper always re-verifies the final marked graph (live + safe +
-// well-formed) and throws if the optimization ever produced an invalid network.
+// The result is a well-formed, live and safe marked graph; the postcondition
+// is tested against marked_graph::verify(), not re-checked at run time.
 
 #pragma once
 

@@ -114,7 +114,7 @@ public:
     // --- Analysis -----------------------------------------------------------
     /// Marked-graph image (tokens = initial markings) for verification.
     marked_graph to_marked_graph() const;
-    /// Full well-formed / live / safe verification.
+    /// Full well-formed / live / safe verification (the oracle).
     mg_report verify() const;
 
     /// Arrival depth of each gate's output signal: "the maximum path length

@@ -38,7 +38,7 @@ firing_schedule make_firing_schedule(const pl_netlist& pl,
 }
 
 std::string find_unsafe_edge(const pl_netlist& pl, const flat_topology& topo,
-                             const firing_schedule& schedule, bool env_release) {
+                             const firing_schedule& schedule) {
     const std::size_t num_gates = pl.num_gates();
     const auto describe = [&](edge_id e) {
         const pl_edge& edge = pl.edge(e);
@@ -149,17 +149,12 @@ std::string find_unsafe_edge(const pl_netlist& pl, const flat_topology& topo,
                 std::uint64_t{1} << ((j - base) % 64);
         }
         close(reach0);
-        std::uint64_t env[k_words] = {};
-        if (env_release) {
-            for (const gate_id src : pl.sources()) or_into(env, &reach0[src * k_words]);
-        }
         reach1 = reach0;
         for (gate_id x = 0; x < num_gates; ++x) {
             for (std::uint32_t i = marked_off[x]; i < marked_off[x + 1]; ++i) {
                 or_into(&reach1[x * k_words], &reach0[marked_to[i] * k_words]);
             }
         }
-        for (const gate_id snk : pl.sinks()) or_into(&reach1[snk * k_words], env);
         close(reach1);
         for (; k < slow.size() && slow_target[k] < end; ++k) {
             const pl_edge& edge = pl.edge(slow[k]);

@@ -35,14 +35,13 @@ firing_schedule make_firing_schedule(const pl_netlist& pl,
 
 /// Structural marked-graph safety: an edge can hold two tokens unless some
 /// cycle through it carries exactly one (a cycle's token count never
-/// changes, so such a cycle bounds the edge).  Edges whose producer never
-/// fires carry no deposits and are skipped; a token-free cycle is a
-/// liveness failure, not a safety one.  With `env_release`, every sink has
-/// an implicit one-token edge to every source: the non-pipelined
-/// environment presents wave k + 1 only after every sink recorded wave k.
-/// Returns a description of the first unsafe edge, or "" when every edge is
-/// bounded by one token.
+/// changes, so such a cycle bounds the edge); an edge on no cycle fails too.
+/// Edges whose producer never fires carry no deposits and are skipped; a
+/// token-free cycle is a liveness failure, not a safety one.  With
+/// `!schedule.any_never_fires` this decides what marked_graph::verify()
+/// decides.  Returns a description of the first unsafe edge, or "" when
+/// every edge is bounded by one token.
 std::string find_unsafe_edge(const pl_netlist& pl, const flat_topology& topo,
-                             const firing_schedule& schedule, bool env_release);
+                             const firing_schedule& schedule);
 
 }  // namespace plee::pl

@@ -1,7 +1,7 @@
 // errors.hpp — typed simulator failures.
 //
 // The simulator's three deliberate runtime failures — event-budget
-// exhaustion, deadlock, and the dynamic marked-graph/EE invariant checks —
+// exhaustion, deadlock, and the marked-graph/EE invariant checks —
 // were indistinguishable runtime_error/logic_errors before; a fleet log full
 // of "event budget exhausted" lines could not say which circuit, how far it
 // got, or on which engine.  Each type here carries the circuit label
@@ -52,9 +52,9 @@ public:
         : sim_error("deadlock — " + diagnostic, label, events, queue) {}
 };
 
-/// Dynamic marked-graph safety or EE invariant violation — the simulator
-/// doubling as a checker of the theory; always a bug in the netlist or the
-/// transform, never recoverable.
+/// Marked-graph safety (structural, or the heap's dynamic check) or EE
+/// invariant violation — the simulator doubling as a checker of the theory;
+/// always a bug in the netlist or the transform, never recoverable.
 class invariant_violation : public sim_error {
 public:
     invariant_violation(const std::string& message, const std::string& label,

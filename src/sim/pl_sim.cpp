@@ -39,7 +39,11 @@ queue_kind queue_kind_from_string(const std::string& name) {
 }
 
 pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
-    : pl_(pl), options_(options), topo_(pl) {
+    : pl_(pl),
+      options_(options),
+      topo_(pl),
+      schedule_(pl::make_firing_schedule(pl, topo_)),
+      unsafe_(pl::find_unsafe_edge(pl, topo_, schedule_)) {
     const std::size_t num_gates = pl.num_gates();
     desc_.resize(num_gates);
     in_count_.resize(num_gates);
@@ -86,6 +90,14 @@ pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
     }
     for (std::size_t i = 0; i < pl.sinks().size(); ++i) {
         desc_[pl.sinks()[i]].env_slot = static_cast<std::uint32_t>(i);
+    }
+    if (pl.num_edges() > (std::numeric_limits<std::uint32_t>::max() >> 1)) {
+        throw std::length_error("pl_simulator: too many edges for the sweep");
+    }
+    sweep_out_.resize(topo_.out_flat.size());
+    for (std::size_t i = 0; i < topo_.out_flat.size(); ++i) {
+        const pl::edge_id e = topo_.out_flat[i];
+        sweep_out_[i] = 2 * e | (pl.edge(e).init_token ? 1u : 0u);
     }
 }
 
@@ -359,22 +371,6 @@ void pl_simulator::run_heap() {
 // lands in slot (k + m) & 1, and the two slots per edge never collide.
 // ---------------------------------------------------------------------------
 
-void pl_simulator::prepare_sweep() {
-    if (sweep_prepared_) return;
-    if (pl_.num_edges() > (std::numeric_limits<std::uint32_t>::max() >> 1)) {
-        throw std::length_error("pl_simulator: too many edges for the sweep");
-    }
-    sweep_out_.resize(topo_.out_flat.size());
-    for (std::size_t i = 0; i < topo_.out_flat.size(); ++i) {
-        const pl::edge_id e = topo_.out_flat[i];
-        sweep_out_[i] = 2 * e | (pl_.edge(e).init_token ? 1u : 0u);
-    }
-    schedule_ = pl::make_firing_schedule(pl_, topo_);
-    sweep_unsafe_ =
-        pl::find_unsafe_edge(pl_, topo_, schedule_, options_.non_pipelined);
-    sweep_prepared_ = true;
-}
-
 /// Checked mode only: may gate g make its wave-th firing?  Gates that die
 /// (miss a firing) stay dead, exactly as in the event loop, where a gate
 /// whose input never arrives is never enabled again.
@@ -420,10 +416,6 @@ void pl_simulator::sweep_poll(std::uint64_t& events, std::uint64_t after,
 }
 
 void pl_simulator::run_sweep() {
-    prepare_sweep();
-    if (!sweep_unsafe_.empty()) {
-        throw invariant_violation(sweep_unsafe_, options_.label, 0, "calendar");
-    }
     const std::size_t num_edges = pl_.num_edges();
     sweep_slots_.assign(2 * num_edges, {});
     for (pl::edge_id e = 0; e < num_edges; ++e) {
@@ -638,6 +630,10 @@ std::vector<wave_record> pl_simulator::run_packed(
     }
 
     const bool use_heap = options_.queue == queue_kind::binary_heap;
+    if (!unsafe_.empty()) {
+        throw invariant_violation(unsafe_, options_.label, 0,
+                                  use_heap ? "heap" : "calendar");
+    }
     if (use_heap) {
         run_heap();
     } else {
@@ -722,10 +718,6 @@ double* pl_simulator::next_lane_slabs() {
 
 void pl_simulator::run_lane_sweep(const stimulus_block& block,
                                   lane_block_result& result) {
-    prepare_sweep();
-    if (!sweep_unsafe_.empty()) {
-        throw invariant_violation(sweep_unsafe_, options_.label, 0, "lanes");
-    }
     // A marked edge keeps its initial token for good (deposits onto it are
     // not stored), and a token-free edge is written before it is read, so
     // the tokens need setting up only once per simulator.
@@ -1062,6 +1054,9 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
     reset();
     stats_.lane_blocks = 1;
     stats_.lane_vectors = block.num_vectors;
+    if (!unsafe_.empty()) {
+        throw invariant_violation(unsafe_, options_.label, 0, "lanes");
+    }
     run_lane_sweep(block, result);
     return result;
 }

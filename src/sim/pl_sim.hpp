@@ -36,18 +36,18 @@
 //    consumer the producer's w-th deposit; a marked edge hands it the
 //    initial token at w = 0 and the (w-1)-th deposit after that.  Each edge
 //    keeps two (time, value) slots indexed by consumption parity, so a wave
-//    costs one read per in-edge and one write per out-edge.  The checks the
-//    event loop made dynamically are made once per simulator instead:
-//    marked-graph safety is structural (every edge on a cycle carrying
-//    exactly one token, with the non-pipelined environment's release
-//    hand-off as an implicit one-token sink-to-source edge), and gates that
-//    can never fire (a token-free cycle, or no inputs and no stimulus)
-//    switch the sweep to per-firing readiness checks so the run stops at
-//    exactly the firings the event loop would have reached.
+//    costs one read per in-edge and one write per out-edge.  Gates that can
+//    never fire (a token-free cycle, or no inputs and no stimulus) switch
+//    the sweep to per-firing readiness checks so the run stops at exactly
+//    the firings the event loop would have reached.
 //
 //  * queue_kind::binary_heap — the seed's std::push_heap event loop over
-//    array-of-structs token slots, kept as the independent oracle; it checks
-//    safety dynamically as deposits land.
+//    array-of-structs token slots, kept as the independent oracle; it also
+//    checks safety dynamically as deposits land.
+//
+// Under both engines, every run first checks safety structurally (every
+// edge on a cycle carrying exactly one token; the environment's release
+// hand-off is no token): the pipeline's only marked-graph check.
 //
 // Both engines produce bit-identical wave records and stats (events =
 // deposits, firings, EE hits/misses/wins) — asserted over the ITC99 suite
@@ -333,7 +333,6 @@ private:
         bool value = false;
     };
     void run_sweep();
-    void prepare_sweep();
     bool sweep_ready(pl::gate_id g, std::size_t wave) const;
     void sweep_poll(std::uint64_t& events, std::uint64_t after,
                     std::uint64_t& next_check, const char* engine);
@@ -374,21 +373,18 @@ private:
     pl::flat_topology topo_;
     std::vector<gate_desc> desc_;
     std::vector<std::uint32_t> in_count_;  ///< per gate: |in_edges|
+    /// Firing order and never-firing gates; any of the latter put the
+    /// sweep in checked mode (readiness tested per firing).
+    pl::firing_schedule schedule_;
+    /// Non-empty when the netlist is structurally unsafe: the violation.
+    std::string unsafe_;
+    /// Per topo_.out_flat position: 2 * edge | init_token, so the slot a
+    /// sweep firing of parity p writes is sweep_out_[i] ^ p.
+    std::vector<std::uint32_t> sweep_out_;
 
     // Per-run state — reference engine.
     std::vector<token_slot> tokens_;  ///< per edge (AoS)
     std::vector<deposit> heap_;       ///< min-heap via std::push_heap
-
-    // Sweep structure (built on the first run/run_packed call).
-    bool sweep_prepared_ = false;
-    /// Non-empty when the netlist is structurally unsafe: the violation.
-    std::string sweep_unsafe_;
-    /// Firing order and never-firing gates; any of the latter put the
-    /// sweep in checked mode (readiness tested per firing).
-    pl::firing_schedule schedule_;
-    /// Per topo_.out_flat position: 2 * edge | init_token, so the slot a
-    /// firing of parity p writes is sweep_out_[i] ^ p.
-    std::vector<std::uint32_t> sweep_out_;
 
     // Per-run state — throughput engine.
     std::vector<sweep_token> sweep_slots_;  ///< per edge x consumption parity

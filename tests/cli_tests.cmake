@@ -38,8 +38,10 @@ function(expect_count file regex expected)
 endfunction()
 
 if(CASE STREQUAL "fleet_of_one")
-  # A single-circuit run: the fleet row, then the per-circuit artifacts.
-  expect_run(0 "wrote trace\\.jsonl.*support pins.*wrote pl\\.dot"
+  # A single-circuit run: the fleet row, then the per-circuit artifacts
+  # (the report opens with the dense marked-graph check of the rebuilt
+  # netlist).
+  expect_run(0 "wrote trace\\.jsonl.*marked graph: well-formed live safe\n.*support pins.*wrote pl\\.dot"
              --circuits b05 --vectors 20 --report --dot pl.dot
              --trace-out trace.jsonl)
   expect_count(trace.jsonl "\"type\":\"job\"" 1)

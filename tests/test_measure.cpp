@@ -1,5 +1,7 @@
 // Tests for the measurement harness (Section 4's protocol): random stimulus
-// generation, delay statistics, and the golden functional cross-check.
+// generation, delay statistics, the golden functional cross-check, and the
+// simulator's marked-graph check against marked_graph::verify() on broken
+// netlists.
 
 #include "sim/measure.hpp"
 
@@ -8,11 +10,14 @@
 #include <stdexcept>
 #include <string>
 
+#include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
 #include "netlist/sync_sim.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "rt/errors.hpp"
+#include "sim/errors.hpp"
 #include "synth/rtl.hpp"
+#include "workload/workload.hpp"
 
 namespace plee::sim {
 namespace {
@@ -168,6 +173,101 @@ TEST(Measure, RejectsAReferenceThatDoesNotFit) {
                  std::invalid_argument);
     opts.lanes = 2;
     EXPECT_THROW(make_reference(&n, width, opts), std::invalid_argument);
+}
+
+/// `pl` rebuilt through the construction API without edge `drop` and with
+/// the marking of edge `flip` inverted (k_invalid_edge: neither).
+pl::pl_netlist mutate(const pl::pl_netlist& pl, pl::edge_id drop,
+                      pl::edge_id flip) {
+    pl::pl_netlist out;
+    for (const pl::pl_gate& g : pl.gates()) {
+        const pl::gate_id id = out.add_gate(g.kind, g.name);
+        if (g.kind == pl::gate_kind::compute) out.set_function(id, g.function);
+        if (g.kind == pl::gate_kind::const_source) out.set_const_value(id, g.const_value);
+    }
+    for (pl::edge_id e = 0; e < pl.num_edges(); ++e) {
+        if (e == drop) continue;
+        const pl::pl_edge& edge = pl.edge(e);
+        const bool marked = edge.init_token != (e == flip);
+        if (edge.kind == pl::edge_kind::data) {
+            out.add_data_edge(edge.from, edge.to, edge.to_pin, marked, edge.init_value);
+        } else {
+            out.add_ack_edge(edge.from, edge.to, marked);
+        }
+    }
+    return out;
+}
+
+TEST(Measure, SimulatorRejectsExactlyWhatVerifyRejectsOnMutants) {
+    // The pipeline does not call verify(); the simulator's structural check
+    // (invariant_violation before any firing) and its deadlock detection
+    // must reject exactly the netlists verify() rejects.  Mutants of mapped
+    // netlists: every single ack-edge deletion and every single marking
+    // flip (2,581 in all), under both engines and both protocols.
+    std::vector<nl::netlist> netlists;
+    for (const char* id : {"b01", "b02", "b03", "b06", "b09"}) {
+        netlists.push_back(bench::build_benchmark(id));
+    }
+    for (wl::scenario kind : wl::all_scenarios()) {
+        netlists.push_back(wl::generate(wl::scenario_params(kind, 40, 3)));
+    }
+    std::size_t mutants = 0, rejected = 0;
+    for (const nl::netlist& n : netlists) {
+        const pl::pl_netlist pl = pl::map_to_phased_logic(n).pl;
+        std::vector<pl::pl_netlist> broken;
+        for (pl::edge_id e = 0; e < pl.num_edges(); ++e) {
+            if (pl.edge(e).kind == pl::edge_kind::ack) {
+                broken.push_back(mutate(pl, e, pl::k_invalid_edge));
+            }
+            broken.push_back(mutate(pl, pl::k_invalid_edge, e));
+        }
+        for (const std::size_t lanes : {std::size_t{1}, k_lanes}) {
+            measure_options opts;
+            opts.num_vectors = 20;
+            opts.lanes = lanes;
+            const reference ref = make_reference(&n, pl.sources().size(), opts);
+            for (std::size_t m = 0; m < broken.size(); ++m) {
+                const pl::mg_report report = broken[m].verify();
+                if (lanes == 1) {
+                    ++mutants;
+                    rejected += report.ok() ? 0 : 1;
+                }
+                for (const queue_kind queue :
+                     {queue_kind::binary_heap, queue_kind::calendar}) {
+                    opts.sim.queue = queue;
+                    const std::string label = "mutant " + std::to_string(m) +
+                                              ", " + to_string(queue) + ", lanes " +
+                                              std::to_string(lanes) + ": " +
+                                              report.violation;
+                    bool thrown = false;
+                    try {
+                        measure_average_delay(broken[m], ref, opts);
+                    } catch (const invariant_violation& e) {
+                        thrown = true;
+                        EXPECT_EQ(e.events(), 0u) << label;
+                    } catch (const deadlock_error&) {
+                        thrown = true;
+                        // A live graph never deadlocks: a rejected live
+                        // mutant is unsafe or ill-formed, caught before
+                        // the first firing.
+                        EXPECT_FALSE(report.live) << label;
+                    } catch (const plee_error&) {
+                        // A golden mismatch: a new marking may change the
+                        // function without breaking the marked graph.
+                    }
+                    // A one-wave lane run cannot see a token-free cycle
+                    // that only starves later waves (a register's initial
+                    // tokens feed wave 0), so under the lanes protocol only
+                    // the unsafe and ill-formed mutants must be rejected.
+                    if (lanes == 1 || report.live) {
+                        EXPECT_EQ(thrown, !report.ok()) << label;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(mutants, 2000u);
+    EXPECT_GT(rejected, 400u);
 }
 
 }  // namespace

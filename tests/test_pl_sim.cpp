@@ -1,6 +1,6 @@
 // Tests for the event-driven PL simulator: functional equivalence with the
 // synchronous golden model, the non-pipelined measurement protocol, EE
-// timing behaviour, and the dynamic liveness/safety checking.
+// timing behaviour, and the liveness/safety checking.
 
 #include "sim/pl_sim.hpp"
 
@@ -287,6 +287,31 @@ TEST(PlSim, SafetyViolationDetectedDynamically) {
     pl_simulator sim2(pl, opts);
     EXPECT_THROW(sim2.run({{true, false}, {true, false}, {true, false}}),
                  invariant_violation);
+}
+
+TEST(PlSim, UnacknowledgedSourceToSinkEdgeIsRejectedBeforeAnyFiring) {
+    // The non-pipelined environment releases a wave only after the last
+    // one's outputs arrived, but that hand-off is not a token of the
+    // netlist: an edge on no cycle fails the structural check under every
+    // engine and protocol, before anything fires.
+    pl::pl_netlist pl;
+    const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
+    const pl::gate_id snk = pl.add_gate(pl::gate_kind::sink, "out");
+    pl.add_data_edge(src, snk, 0, false, false);
+    const std::vector<stimulus_block> blocks = make_stimulus(4, 1, 1);
+    for (const queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
+        sim_options opts;
+        opts.queue = queue;
+        pl_simulator sim(pl, opts);
+        EXPECT_THROW(sim.run({{true}, {false}}), invariant_violation)
+            << to_string(queue);
+        EXPECT_EQ(sim.stats().events, 0u) << to_string(queue);
+        EXPECT_EQ(sim.stats().firings, 0u) << to_string(queue);
+        EXPECT_THROW(sim.run_lanes(blocks.front()), invariant_violation)
+            << to_string(queue);
+        EXPECT_EQ(sim.stats().events, 0u) << to_string(queue);
+        EXPECT_EQ(sim.stats().firings, 0u) << to_string(queue);
+    }
 }
 
 }  // namespace

@@ -33,7 +33,9 @@
 //
 // Per-circuit artifacts (only when --circuits names exactly one circuit;
 // the tool rebuilds that circuit's EE'd PL netlist after the fleet runs):
-//   --report         per-trigger detail (support, coverage, cost)
+//   --report         marked-graph check (marked_graph::verify(); a
+//                    violation exits 1) and per-trigger detail (support,
+//                    coverage, cost)
 //   --dot PATH       the PL netlist (post-EE) as Graphviz
 //   --vcd PATH       a token waveform of the first (up to 10) vectors
 //   --blif-out PATH  the synchronous netlist as BLIF
@@ -58,7 +60,8 @@
 // with golden-model verification.  Exit status: 0 = every job ok,
 // 2 = fleet completed but some jobs failed/timed out (partial results) or
 // the run was interrupted, 1 = fatal (bad arguments, unreadable or
-// malformed BLIF, artifact write failure, internal error).  Each job runs
+// malformed BLIF, artifact write failure, a --report marked-graph
+// violation, internal error).  Each job runs
 // once: the pipeline is deterministic, so a failed job would fail again.
 //
 // SIGINT/SIGTERM: the first signal cancels the fleet cooperatively (queued
@@ -367,6 +370,13 @@ void write_artifacts(const cli_options& o, const runner::fleet_job& job,
             " trigger gates, the fleet row " + std::to_string(row.ee_gates));
     }
     if (o.report) {
+        // The pipeline leaves the marked-graph check to the simulator; the
+        // report runs the dense oracle on the netlist it rebuilt.
+        const pl::mg_report health = mapped.pl.verify();
+        if (!health.ok()) {
+            throw std::runtime_error("marked graph: " + health.violation);
+        }
+        std::printf("marked graph: well-formed live safe\n");
         report::text_table t({"master", "support pins", "trigger", "coverage",
                               "Mmax", "Tmax", "cost"});
         for (const ee::applied_trigger& at : stats.applied) {
