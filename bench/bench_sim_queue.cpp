@@ -5,7 +5,7 @@
 // four scenario presets round-robin) is mapped, EE-transformed, and then
 // simulated repeatedly under both scalar engines with identical stimulus:
 // the binary-heap event loop (the oracle) and the wave sweep that
-// queue_kind::calendar selects for run().  Before any timing, every circuit
+// queue_kind::sweep selects for run().  Before any timing, every circuit
 // is cross-checked — wave records and stats must be bit-identical between
 // the engines, and traces equal in (time, edge) order (non-zero exit
 // otherwise), so the throughput numbers compare two implementations of the
@@ -13,7 +13,7 @@
 //
 // Reported per scenario and for the whole mix: events/s under the heap and
 // the sweep, and the speedup.  JSON keys name engines by their queue_kind
-// ("heap_*", "calendar_*"), and calendar is the sweep for these scalar runs.  The mix row can fan circuits across worker
+// ("heap_*", "sweep_*").  The mix row can fan circuits across worker
 // threads (--threads) to mirror how the fleet runner drives shards.
 //
 // The `itc99-seq` row is the paper's Table 3 run: ITC99 b01-b15,
@@ -386,7 +386,7 @@ int main(int argc, char** argv) {
             const engine_output heap =
                 run_once(c.pl, c.vectors, sim::queue_kind::binary_heap, true);
             const engine_output sweep =
-                run_once(c.pl, c.vectors, sim::queue_kind::calendar, true);
+                run_once(c.pl, c.vectors, sim::queue_kind::sweep, true);
             if (!outputs_identical(heap, sweep)) {
                 std::fprintf(stderr,
                              "FAIL: engines disagree on %s (gates=%zu seed=%llu)\n",
@@ -414,10 +414,10 @@ int main(int argc, char** argv) {
             std::uint64_t events = 0;
             const double heap = best_events_per_s(
                 group, sim::queue_kind::binary_heap, row_threads, repeat, &events);
-            const double cal = best_events_per_s(
-                group, sim::queue_kind::calendar, row_threads, repeat, &events);
-            const double speedup = heap > 0.0 ? cal / heap : 0.0;
-            t.add_row({name, report::fmt(heap, 0), report::fmt(cal, 0),
+            const double sweep = best_events_per_s(
+                group, sim::queue_kind::sweep, row_threads, repeat, &events);
+            const double speedup = heap > 0.0 ? sweep / heap : 0.0;
+            t.add_row({name, report::fmt(heap, 0), report::fmt(sweep, 0),
                        report::fmt(speedup, 2) + "x"});
             report::json j = report::json::object();
             j.set("workload", report::json::str(name));
@@ -426,7 +426,7 @@ int main(int argc, char** argv) {
             j.set("events_per_run",
                   report::json::number(static_cast<std::int64_t>(events)));
             j.set("heap_events_per_s", report::json::number(heap));
-            j.set("calendar_events_per_s", report::json::number(cal));
+            j.set("sweep_events_per_s", report::json::number(sweep));
             j.set("speedup", report::json::number(speedup));
             rows.push(std::move(j));
             return speedup;
@@ -457,7 +457,7 @@ int main(int argc, char** argv) {
                 sim::random_vectors(itc_vectors, c.pl.sources().size(), seed);
             if (!outputs_identical(
                     run_once(c.pl, c.vectors, sim::queue_kind::binary_heap, true),
-                    run_once(c.pl, c.vectors, sim::queue_kind::calendar, true))) {
+                    run_once(c.pl, c.vectors, sim::queue_kind::sweep, true))) {
                 std::fprintf(stderr, "FAIL: engines disagree on %s (seed=%llu)\n",
                              c.id.c_str(), static_cast<unsigned long long>(seed));
                 return 1;
@@ -474,7 +474,7 @@ int main(int argc, char** argv) {
                 heap_ms += measurement_ms(c.pl, c.vectors,
                                           sim::queue_kind::binary_heap, &events);
                 sweep_ms += measurement_ms(c.pl, c.vectors,
-                                           sim::queue_kind::calendar, &events);
+                                           sim::queue_kind::sweep, &events);
                 itc_events += events;
             }
             itc_heap_ms.push_back(heap_ms);
@@ -502,11 +502,11 @@ int main(int argc, char** argv) {
                   report::json::number(static_cast<std::int64_t>(itc_events)));
             j.set("heap_ms_per_measurement",
                   report::json::number(itc_heap / measurements));
-            j.set("calendar_ms_per_measurement",
+            j.set("sweep_ms_per_measurement",
                   report::json::number(itc_sweep / measurements));
             j.set("heap_events_per_s",
                   report::json::number(per_s(itc_events, itc_heap)));
-            j.set("calendar_events_per_s",
+            j.set("sweep_events_per_s",
                   report::json::number(per_s(itc_events, itc_sweep)));
             j.set("speedup", report::json::number(itc_speedup));
             rows.push(std::move(j));

@@ -1,17 +1,16 @@
 // pl_flat.hpp — CSR (compressed sparse row) flattening of a pl_netlist.
 //
-// The simulation hot path visits a gate's in_edges / data_in / out_edges on
-// every firing.  In pl_netlist those live as one std::vector per gate, so a
-// firing chases three heap-allocated vector headers scattered with the rest
-// of the (string-carrying) pl_gate records.  flat_topology rebuilds the same
-// adjacency once per netlist as offset + flat-id arrays: one contiguous
-// edge-id pool per relation, indexed by [off[g], off[g+1]), plus per-edge
-// consumer/kind arrays so `place` never touches pl_edge records either.
+// Graph passes over a PL netlist visit every gate's in_edges / out_edges.
+// In pl_netlist those live as one std::vector per gate, scattered with the
+// rest of the (string-carrying) pl_gate records.  flat_topology rebuilds the
+// same adjacency once per netlist as offset + flat-id arrays: one contiguous
+// edge-id pool per relation, indexed by [off[g], off[g+1]), plus a
+// per-edge consumer array.
 //
-// The flattening is purely structural (no per-run state) and is shared by
-// the scalar and 64-lane wave sweeps of sim::pl_simulator and by the firing
-// schedule analysis (pl_schedule.hpp); it is equally usable by any other
-// pass that walks PL adjacency at scale.
+// The flattening is purely structural (no per-run state).  It serves the
+// firing schedule analysis and the structural safety check
+// (pl_schedule.hpp), and sim::pl_simulator's deadlock diagnostic and
+// waveform trace; the simulator's sweeps read their own per-gate refs.
 
 #pragma once
 
@@ -27,16 +26,12 @@ struct flat_topology {
     explicit flat_topology(const pl_netlist& pl);
 
     // --- Per-edge arrays, indexed by edge_id -------------------------------
-    std::vector<gate_id> edge_to;         ///< consumer gate of each edge
-    std::vector<std::uint8_t> edge_is_ack;  ///< 1 iff edge_kind::ack
+    std::vector<gate_id> edge_to;  ///< consumer gate of each edge
 
     // --- CSR adjacency, indexed by gate_id ---------------------------------
     // Gate g's incoming edges are in_flat[in_off[g] .. in_off[g+1]).
     std::vector<std::uint32_t> in_off;
     std::vector<edge_id> in_flat;
-    // Pin-ordered LUT operand edges: data_flat[data_off[g] .. data_off[g+1]).
-    std::vector<std::uint32_t> data_off;
-    std::vector<edge_id> data_flat;
     // Outgoing edges: out_flat[out_off[g] .. out_off[g+1]).
     std::vector<std::uint32_t> out_off;
     std::vector<edge_id> out_flat;

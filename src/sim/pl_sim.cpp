@@ -26,16 +26,16 @@ std::uint64_t over_budget(std::uint64_t max_events) {
 const char* to_string(queue_kind kind) {
     switch (kind) {
         case queue_kind::binary_heap: return "heap";
-        case queue_kind::calendar: return "calendar";
+        case queue_kind::sweep: return "sweep";
     }
     return "?";
 }
 
 queue_kind queue_kind_from_string(const std::string& name) {
     if (name == "heap" || name == "binary_heap") return queue_kind::binary_heap;
-    if (name == "calendar") return queue_kind::calendar;
+    if (name == "sweep" || name == "calendar") return queue_kind::sweep;
     throw std::invalid_argument("unknown queue kind: '" + name +
-                                "' (expected heap | binary_heap | calendar)");
+                                "' (expected sweep | heap | binary_heap)");
 }
 
 pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
@@ -45,27 +45,60 @@ pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
       schedule_(pl::make_firing_schedule(pl, topo_)),
       unsafe_(pl::find_unsafe_edge(pl, topo_, schedule_)) {
     const std::size_t num_gates = pl.num_gates();
+    if (num_gates > (std::numeric_limits<std::uint32_t>::max() >> k_ref_pos_shift)) {
+        throw std::length_error("pl_simulator: too many gates for the sweep");
+    }
+    // Sweep positions: the firing order, then the gates off it (they never
+    // fire, but keep a record for the heap engine and the diagnostics).
+    std::vector<pl::gate_id> gate_at(schedule_.order);
+    std::vector<std::uint8_t> placed(num_gates, 0);
+    for (const pl::gate_id g : gate_at) placed[g] = 1;
+    for (pl::gate_id g = 0; g < num_gates; ++g) {
+        if (placed[g] == 0) gate_at.push_back(g);
+    }
+    pos_.resize(num_gates);
+    for (std::size_t i = 0; i < num_gates; ++i) {
+        pos_[gate_at[i]] = static_cast<std::uint32_t>(i);
+    }
+    const auto ref_of = [&](pl::edge_id e) {
+        const pl::pl_edge& edge = pl.edge(e);
+        return pos_[edge.from] << k_ref_pos_shift |
+               (edge.kind == pl::edge_kind::ack ? k_ref_ack : 0u) |
+               (edge.init_token && edge.init_value ? k_ref_init : 0u) |
+               (edge.init_token ? k_ref_marked : 0u);
+    };
+
     desc_.resize(num_gates);
     in_count_.resize(num_gates);
-    for (pl::gate_id g = 0; g < num_gates; ++g) {
+    refs_.reserve(topo_.in_flat.size());
+    for (std::size_t i = 0; i < num_gates; ++i) {
+        const pl::gate_id g = gate_at[i];
         const pl::pl_gate& gate = pl.gate(g);
-        gate_desc& d = desc_[g];
+        gate_desc& d = desc_[i];
         d.kind = gate.kind;
+        d.gate = g;
         d.num_data = static_cast<std::uint8_t>(gate.data_in.size());
         d.const_value = gate.const_value;
-        d.in_begin = topo_.in_off[g];
-        d.in_end = topo_.in_off[g + 1];
-        d.data_begin = topo_.data_off[g];
-        d.out_begin = topo_.out_off[g];
-        d.out_end = topo_.out_off[g + 1];
-        d.efire_in = gate.efire_in;
+        d.num_out = static_cast<std::uint32_t>(gate.out_edges.size());
+        d.master = gate.efire_in != pl::k_invalid_edge;
+        if (d.master) d.efire = ref_of(gate.efire_in);
+        d.ref_begin = static_cast<std::uint32_t>(refs_.size());
+        for (const pl::edge_id e : gate.data_in) refs_.push_back(ref_of(e));
+        for (const pl::edge_id e : gate.in_edges) {
+            // Every in-edge that is not a pin: acks, efire, pinless data.
+            const pl::pl_edge& edge = pl.edge(e);
+            if (edge.kind == pl::edge_kind::ack || edge.to_pin < 0) {
+                refs_.push_back(ref_of(e));
+            }
+        }
+        d.ref_end = static_cast<std::uint32_t>(refs_.size());
         for (const pl::edge_id e : gate.out_edges) {
             const pl::pl_edge& edge = pl.edge(e);
             if (edge.init_token) continue;
             (edge.kind == pl::edge_kind::ack ? d.free_ack_out : d.free_data_out) = true;
         }
         d.fn_bits = gate.function.words();
-        in_count_[g] = d.in_end - d.in_begin;
+        in_count_[g] = static_cast<std::uint32_t>(gate.in_edges.size());
         if (gate.trigger != pl::k_invalid_gate) {
             // Master of an EE pair: bake the trigger function and its
             // pin-packing map in, so no engine allocates at fire time.
@@ -86,18 +119,10 @@ pl_simulator::pl_simulator(const pl::pl_netlist& pl, sim_options options)
         }
     }
     for (std::size_t i = 0; i < pl.sources().size(); ++i) {
-        desc_[pl.sources()[i]].env_slot = static_cast<std::uint32_t>(i);
+        desc_[pos_[pl.sources()[i]]].env_slot = static_cast<std::uint32_t>(i);
     }
     for (std::size_t i = 0; i < pl.sinks().size(); ++i) {
-        desc_[pl.sinks()[i]].env_slot = static_cast<std::uint32_t>(i);
-    }
-    if (pl.num_edges() > (std::numeric_limits<std::uint32_t>::max() >> 1)) {
-        throw std::length_error("pl_simulator: too many edges for the sweep");
-    }
-    sweep_out_.resize(topo_.out_flat.size());
-    for (std::size_t i = 0; i < topo_.out_flat.size(); ++i) {
-        const pl::edge_id e = topo_.out_flat[i];
-        sweep_out_[i] = 2 * e | (pl.edge(e).init_token ? 1u : 0u);
+        desc_[pos_[pl.sinks()[i]]].env_slot = static_cast<std::uint32_t>(i);
     }
 }
 
@@ -154,7 +179,7 @@ void pl_simulator::fire_source(pl::gate_id g) {
         ++fired_waves_[g];
         ++stats_.firings;
 
-        const bool value = stim_bit(wave, desc_[g].env_slot);
+        const bool value = stim_bit(wave, desc_[pos_[g]].env_slot);
         const double t_out = t_ready + options_.delays.d_source;
         input_stable_[wave] = std::max(input_stable_[wave], t_out);
         for (pl::edge_id e : gate.out_edges) schedule(e, value, t_out);
@@ -181,7 +206,7 @@ void pl_simulator::record_sink(pl::gate_id g) {
     }
 
     if (wave >= num_waves_) return;  // drain beyond the measured horizon
-    wave_outputs_[wave][desc_[g].env_slot] = tok.value;
+    wave_outputs_[wave][desc_[pos_[g]].env_slot] = tok.value;
     output_stable_[wave] = std::max(output_stable_[wave], tok.time);
     if (--sinks_pending_[wave] == 0) {
         ++waves_stable_;
@@ -281,7 +306,7 @@ void pl_simulator::try_fire(pl::gate_id g) {
             if (options_.check_early_value) {
                 // Recompute the trigger from the master's consumed operands
                 // through the precomputed pin-packing map.
-                const gate_desc& d = desc_[g];
+                const gate_desc& d = desc_[pos_[g]];
                 std::uint32_t packed = 0;
                 for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
                     packed |= ((minterm >> d.trig_pins[i]) & 1u) << i;
@@ -366,20 +391,31 @@ void pl_simulator::run_heap() {
 // initial token (w = 0) or the producer's (w-1)-th deposit on a marked edge.
 // Walking the gates in a token-free topological order, wave by wave, visits
 // every producer's deposit before its consumer needs it, so each firing is
-// the event loop's arithmetic applied to tokens already in place.  A deposit
-// from firing k on an edge with marking m is consumed at index k + m, so it
-// lands in slot (k + m) & 1, and the two slots per edge never collide.
+// the event loop's arithmetic applied to tokens already in place.
+//
+// A firing deposits one token per out-edge, but every data out-edge gets the
+// same (time, value) and every ack out-edge the same time, so the sweep
+// stores one slot per firing: gate slot p = k & 1 for firing k.  A consumer
+// in wave w reads its producer's slot w & 1 over a token-free edge and
+// (w - 1) & 1 over a marked one, i.e. parity p ^ marked.  Firing k + 2,
+// which overwrites that slot, comes in wave k + 2, after every read of
+// firing k (wave k or k + 1).  At wave 0 a marked edge hands over its
+// initial token: time 0 (the zeroed slot of parity 1) and the value its
+// ref carries, since one producer's marked edges may start with different
+// values.
 // ---------------------------------------------------------------------------
 
-/// Checked mode only: may gate g make its wave-th firing?  Gates that die
-/// (miss a firing) stay dead, exactly as in the event loop, where a gate
-/// whose input never arrives is never enabled again.
-bool pl_simulator::sweep_ready(pl::gate_id g, std::size_t wave) const {
-    if (schedule_.never_fires[g] || fired_waves_[g] != wave) return false;
-    const gate_desc& d = desc_[g];
-    for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-        const pl::pl_edge& e = pl_.edge(topo_.in_flat[i]);
-        if (fired_waves_[e.from] + (e.init_token ? 1u : 0u) <= wave) return false;
+/// Checked mode only: may the gate at sweep position `pos` make its
+/// wave-th firing?  Gates that die (miss a firing) stay dead, exactly as in
+/// the event loop, where a gate whose input never arrives is never enabled
+/// again.
+bool pl_simulator::sweep_ready(std::uint32_t pos, std::size_t wave) const {
+    const gate_desc& d = desc_[pos];
+    if (schedule_.never_fires[d.gate] || fired_waves_[d.gate] != wave) return false;
+    for (std::uint32_t i = d.ref_begin; i < d.ref_end; ++i) {
+        const std::uint32_t ref = refs_[i];
+        const pl::gate_id from = desc_[ref_pos(ref)].gate;
+        if (fired_waves_[from] + (ref & k_ref_marked) <= wave) return false;
     }
     // Non-pipelined sources wait for the previous wave's outputs.
     return d.kind != pl::gate_kind::source || !options_.non_pipelined ||
@@ -416,12 +452,7 @@ void pl_simulator::sweep_poll(std::uint64_t& events, std::uint64_t after,
 }
 
 void pl_simulator::run_sweep() {
-    const std::size_t num_edges = pl_.num_edges();
-    sweep_slots_.assign(2 * num_edges, {});
-    for (pl::edge_id e = 0; e < num_edges; ++e) {
-        const pl::pl_edge& edge = pl_.edge(e);
-        if (edge.init_token) sweep_slots_[2 * e] = {0.0, edge.init_value};
-    }
+    gate_slots_.assign(2 * desc_.size(), {});
 
     const delay_model& dm = options_.delays;
     const double d_gate = dm.gate_delay();
@@ -430,12 +461,10 @@ void pl_simulator::run_sweep() {
     const double d_efire = dm.efire_delay();
     const bool checked = schedule_.any_never_fires;
     const bool trace = options_.collect_trace;
-    const pl::edge_id* const in_flat = topo_.in_flat.data();
-    const pl::edge_id* const data_flat = topo_.data_flat.data();
-    const pl::edge_id* const out_flat = topo_.out_flat.data();
-    const std::uint32_t* const out_slot = sweep_out_.data();
-    const std::uint8_t* const is_ack = topo_.edge_is_ack.data();
-    sweep_token* const slots = sweep_slots_.data();
+    const std::uint32_t num_order = static_cast<std::uint32_t>(schedule_.order.size());
+    const gate_desc* const desc = desc_.data();
+    const std::uint32_t* const refs = refs_.data();
+    gate_slot* const slots = gate_slots_.data();
 
     // Counters live in registers for the sweep and are written back on
     // every exit path.
@@ -452,13 +481,32 @@ void pl_simulator::run_sweep() {
     try {
         for (std::size_t w = 0; w < num_waves_; ++w) {
             const std::uint32_t p = w & 1u;
-            for (const pl::gate_id g : schedule_.order) {
-                if (checked && !sweep_ready(g, w)) continue;
-                const gate_desc& d = desc_[g];
-                double t_ready =
-                    d.kind == pl::gate_kind::source ? release_time_[w] : 0.0;
-                for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-                    t_ready = std::max(t_ready, slots[2 * in_flat[i] + p].time);
+            const bool first = w == 0;
+            // The slot a ref reads in this wave, and the value it hands over.
+            const auto slot = [&](std::uint32_t ref) -> const gate_slot& {
+                return slots[(ref_pos(ref) << 1) | ((ref ^ p) & k_ref_marked)];
+            };
+            const auto value_of = [&](std::uint32_t ref, const gate_slot& s) {
+                return first && (ref & k_ref_marked) ? (ref & k_ref_init) != 0
+                                                     : s.value;
+            };
+            for (std::uint32_t pos = 0; pos < num_order; ++pos) {
+                if (checked && !sweep_ready(pos, w)) continue;
+                const gate_desc& d = desc[pos];
+                const std::uint32_t* const data = refs + d.ref_begin;
+                double t_data = 0.0;
+                std::uint32_t minterm = 0;
+                for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
+                    const gate_slot& s = slot(data[pin]);
+                    minterm |= static_cast<std::uint32_t>(value_of(data[pin], s)) << pin;
+                    t_data = std::max(t_data, s.time[0]);
+                }
+                double t_ready = d.kind == pl::gate_kind::source
+                                     ? std::max(release_time_[w], t_data)
+                                     : t_data;
+                for (std::uint32_t i = d.ref_begin + d.num_data; i < d.ref_end; ++i) {
+                    const std::uint32_t ref = refs[i];
+                    t_ready = std::max(t_ready, slot(ref).time[(ref & k_ref_ack) != 0]);
                 }
                 bool value = false;
                 double t_out = 0.0;
@@ -469,46 +517,35 @@ void pl_simulator::run_sweep() {
                         t_out = t_ack = t_ready + dm.d_source;
                         input_stable_[w] = std::max(input_stable_[w], t_out);
                         break;
-                    case pl::gate_kind::sink: {
-                        const sweep_token tok =
-                            slots[2 * data_flat[d.data_begin] + p];
-                        wave_outputs_[w][d.env_slot] = tok.value;
-                        output_stable_[w] = std::max(output_stable_[w], tok.time);
+                    case pl::gate_kind::sink:  // one data pin
+                        wave_outputs_[w][d.env_slot] = (minterm & 1u) != 0;
+                        output_stable_[w] = std::max(output_stable_[w], t_data);
                         --sinks_pending_[w];
                         t_out = t_ack;
                         break;
-                    }
                     case pl::gate_kind::const_source:
                         value = d.const_value;
                         t_out = t_ready + dm.d_source;
                         break;
                     case pl::gate_kind::through:
-                        value = d.num_data != 0 &&
-                                slots[2 * data_flat[d.data_begin] + p].value;
+                        value = (minterm & 1u) != 0;
                         t_out = t_ready + d_through;
                         break;
                     case pl::gate_kind::trigger:
                     case pl::gate_kind::compute: {
-                        std::uint32_t minterm = 0;
-                        double t_data = 0.0;
-                        for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
-                            const sweep_token& tok =
-                                slots[2 * data_flat[d.data_begin + pin] + p];
-                            minterm |= static_cast<std::uint32_t>(tok.value) << pin;
-                            t_data = std::max(t_data, tok.time);
-                        }
                         value = (d.fn_bits[minterm >> 6] >> (minterm & 63)) & 1u;
-                        if (d.efire_in == pl::k_invalid_edge) {
+                        if (!d.master) {
                             t_out = t_ready + d_gate;
                             break;
                         }
                         // EE master: normal completion pays the extra
                         // C-element; a 1-valued efire token opens the output
                         // latch early.
-                        const sweep_token efire = slots[2 * d.efire_in + p];
+                        const gate_slot& ef = slot(d.efire);
+                        const bool efire = value_of(d.efire, ef);
                         const double normal = t_data + d_gate + dm.d_ee_penalty;
-                        if (efire.value) {
-                            const double early = efire.time + d_efire;
+                        if (efire) {
+                            const double early = ef.time[0] + d_efire;
                             t_out = std::min(early, normal);
                             ++hits;
                             if (early < normal) ++wins;
@@ -523,30 +560,37 @@ void pl_simulator::run_sweep() {
                             }
                             const bool trig_value =
                                 (d.trig_fn_bits[packed >> 6] >> (packed & 63)) & 1u;
-                            if (trig_value != efire.value) {
+                            if (trig_value != efire) {
                                 throw invariant_violation(
                                     "efire token disagrees with the trigger "
                                     "function (EE invariant violated)",
-                                    options_.label, events, "calendar");
+                                    options_.label, events, "sweep");
                             }
                         }
                         break;
                     }
                 }
                 ++firings;
-                const std::uint64_t after = events + (d.out_end - d.out_begin);
+                const std::uint64_t after = events + d.num_out;
                 if (after >= next_check) {
-                    sweep_poll(events, after, next_check, "calendar");
+                    sweep_poll(events, after, next_check, "sweep");
                 } else {
                     events = after;
                 }
-                for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-                    const pl::edge_id e = out_flat[i];
-                    const double t = is_ack[e] ? t_ack : t_out;
-                    slots[out_slot[i] ^ p] = {t, value};
-                    if (trace && !is_ack[e]) trace_.push_back({t, e, value});
+                gate_slot& out = slots[(pos << 1) | p];
+                out.time[0] = t_out;
+                out.time[1] = t_ack;
+                out.value = value;
+                if (trace) {
+                    for (std::uint32_t i = topo_.out_off[d.gate];
+                         i < topo_.out_off[d.gate + 1]; ++i) {
+                        const pl::edge_id e = topo_.out_flat[i];
+                        if (pl_.edge(e).kind == pl::edge_kind::data) {
+                            trace_.push_back({t_out, e, value});
+                        }
+                    }
                 }
-                if (checked) ++fired_waves_[g];
+                if (checked) ++fired_waves_[d.gate];
             }
             if (sinks_pending_[w] == 0) {
                 ++waves_stable_;
@@ -632,7 +676,7 @@ std::vector<wave_record> pl_simulator::run_packed(
     const bool use_heap = options_.queue == queue_kind::binary_heap;
     if (!unsafe_.empty()) {
         throw invariant_violation(unsafe_, options_.label, 0,
-                                  use_heap ? "heap" : "calendar");
+                                  use_heap ? "heap" : "sweep");
     }
     if (use_heap) {
         run_heap();
@@ -641,7 +685,7 @@ std::vector<wave_record> pl_simulator::run_packed(
     }
     if (waves_stable_ < num_waves_) {
         throw deadlock_error(options_.label, deadlock_diagnostic(),
-                             stats_.events, use_heap ? "heap" : "calendar");
+                             stats_.events, use_heap ? "heap" : "sweep");
     }
 
     std::vector<wave_record> records;
@@ -661,15 +705,16 @@ std::vector<wave_record> pl_simulator::run_packed(
 // Lane sweep: 64 independent single-vector runs in one one-wave sweep.
 //
 // The wave sweep with num_waves_ = 1, over 64-bit value words.  A one-wave
-// run reads each edge once, so each edge keeps one lane_token: the initial
-// token of a marked edge, the producer's deposit on a token-free edge.  A
-// deposit onto a marked edge lands behind the initial token and is never
-// read, so it is counted as an event but not stored.  Token times follow
-// the max/min recurrence lane by lane.  A token keeps one shared time until
-// an EE master's mixed efire word lets the early path win on some lanes
-// only; from there, a firing whose lanes disagree writes its 64 times once
-// into a slab (one for its data outputs, one for its acks), and its
-// out-edges point to that slab.
+// run reads, over a token-free edge, its producer's only firing, and over a
+// marked edge the initial token: every marked ref points at one of two
+// constant slots past the positions (initial value 0 or 1), and a deposit
+// onto a marked edge lands behind that token and is never read.  So each
+// firing writes one lane slot and no per-edge state exists.  Token times
+// follow the max/min recurrence lane by lane.  A slot keeps one shared time
+// per output kind until an EE master's mixed efire word lets the early path
+// win on some lanes only; from there, a firing whose lanes disagree writes
+// its 64 times once into a slab (one for its data outputs, one for its
+// acks), and its slot points to that slab.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -688,12 +733,14 @@ bool lanes_differ(const double* t) {
 
 }  // namespace
 
-void pl_simulator::gather_lane_times(const pl::edge_id* edges,
+void pl_simulator::gather_lane_times(const std::uint32_t* refs,
                                      std::uint32_t begin, std::uint32_t end,
                                      double floor, double* out) const {
     std::uint32_t last = 0;
     for (std::uint32_t i = begin; i < end; ++i) {
-        const std::uint32_t slab = lane_tokens_[edges[i]].slab;
+        const std::uint32_t ref = refs[i];
+        const std::uint32_t slab =
+            lane_slots_[lane_index(ref)].slab[(ref & k_ref_ack) != 0];
         if (slab == 0 || slab == last) continue;
         const double* const t = lane_times(slab);
         if (last == 0) {
@@ -718,16 +765,13 @@ double* pl_simulator::next_lane_slabs() {
 
 void pl_simulator::run_lane_sweep(const stimulus_block& block,
                                   lane_block_result& result) {
-    // A marked edge keeps its initial token for good (deposits onto it are
-    // not stored), and a token-free edge is written before it is read, so
-    // the tokens need setting up only once per simulator.
-    const std::size_t num_edges = pl_.num_edges();
-    if (lane_tokens_.size() != num_edges) {
-        lane_tokens_.assign(num_edges, {});
-        for (pl::edge_id e = 0; e < num_edges; ++e) {
-            const pl::pl_edge& edge = pl_.edge(e);
-            if (edge.init_token && edge.init_value) lane_tokens_[e].word = ~std::uint64_t{0};
-        }
+    // Position slots are written before they are read, and the two initial
+    // tokens never change, so the slots need setting up only once per
+    // simulator.
+    const std::size_t num_pos = desc_.size();
+    if (lane_slots_.size() != num_pos + 2) {
+        lane_slots_.assign(num_pos + 2, {});
+        lane_slots_[num_pos + 1].word = ~std::uint64_t{0};
     }
     lane_slab_end_ = 0;
     num_waves_ = 1;
@@ -741,11 +785,9 @@ void pl_simulator::run_lane_sweep(const stimulus_block& block,
     const double d_ack = dm.ack_delay();
     const double d_efire = dm.efire_delay();
     const bool checked = schedule_.any_never_fires;
-    const pl::edge_id* const in_flat = topo_.in_flat.data();
-    const pl::edge_id* const data_flat = topo_.data_flat.data();
-    const std::uint32_t* const out_slot = sweep_out_.data();
-    const std::uint8_t* const is_ack = topo_.edge_is_ack.data();
-    lane_token* const tok = lane_tokens_.data();
+    const std::uint32_t num_order = static_cast<std::uint32_t>(schedule_.order.size());
+    const std::uint32_t* const refs = refs_.data();
+    lane_slot* const slots = lane_slots_.data();
 
     std::uint64_t events = 0, firings = 0, hits = 0, misses = 0, wins = 0,
                   splits = 0;
@@ -763,30 +805,32 @@ void pl_simulator::run_lane_sweep(const stimulus_block& block,
     double in_shared = 0.0, out_shared = 0.0;
     std::array<double, k_lanes> in_lane{}, out_lane{};
     try {
-        for (const pl::gate_id g : schedule_.order) {
-            if (checked && !sweep_ready(g, 0)) continue;
-            const gate_desc& d = desc_[g];
+        for (std::uint32_t pos = 0; pos < num_order; ++pos) {
+            if (checked && !sweep_ready(pos, 0)) continue;
+            const gate_desc& d = desc_[pos];
             // Shared times (a slab token's time is 0, which adds nothing
             // to a max from 0), and whether any input's lanes disagree.
-            double t_ready = 0.0;
-            bool vary = false;
-            for (std::uint32_t i = d.in_begin; i < d.in_end; ++i) {
-                const lane_token& t = tok[in_flat[i]];
-                t_ready = std::max(t_ready, t.time);
-                vary |= t.slab != 0;
-            }
             std::uint64_t ins[bf::k_max_vars];
             double t_data = 0.0;
+            bool vary = false;
             for (std::uint8_t pin = 0; pin < d.num_data; ++pin) {
-                const lane_token& t = tok[data_flat[d.data_begin + pin]];
+                const lane_slot& t = slots[lane_index(refs[d.ref_begin + pin])];
                 ins[pin] = t.word;
-                t_data = std::max(t_data, t.time);
+                t_data = std::max(t_data, t.time[0]);
+                vary |= t.slab[0] != 0;
+            }
+            double t_ready = t_data;
+            for (std::uint32_t i = d.ref_begin + d.num_data; i < d.ref_end; ++i) {
+                const std::uint32_t ref = refs[i];
+                const unsigned kind = (ref & k_ref_ack) != 0;
+                const lane_slot& t = slots[lane_index(ref)];
+                t_ready = std::max(t_ready, t.time[kind]);
+                vary |= t.slab[kind] != 0;
             }
 
             // Values: timing-independent, one word for all lanes.
             std::uint64_t word = 0;
             std::uint64_t hit = 0;
-            const bool master = d.efire_in != pl::k_invalid_edge;
             switch (d.kind) {
                 case pl::gate_kind::source:
                     word = block.words[d.env_slot];
@@ -807,8 +851,10 @@ void pl_simulator::run_lane_sweep(const stimulus_block& block,
                                                             d.num_data, ins);
                     break;
             }
-            if (master) {
-                const std::uint64_t efire = tok[d.efire_in].word;
+            const lane_slot* const efire_slot =
+                d.master ? &slots[lane_index(d.efire)] : nullptr;
+            if (d.master) {
+                const std::uint64_t efire = efire_slot->word;
                 if (options_.check_early_value) {
                     std::uint64_t tins[bf::k_max_vars];
                     for (std::uint8_t i = 0; i < d.trig_pin_count; ++i) {
@@ -832,7 +878,7 @@ void pl_simulator::run_lane_sweep(const stimulus_block& block,
             // one time, per lane once some input's lanes disagree.  Per-lane
             // times are computed in place at the slab arena's end (data
             // outputs, then acks) and kept only if the lanes disagree and
-            // some token-free out-edge will be read.
+            // some token-free out-edge will read them.
             double t_out = 0.0;
             double t_ack = t_ready + d_ack;
             std::uint32_t out_slab = 0;
@@ -854,12 +900,12 @@ void pl_simulator::run_lane_sweep(const stimulus_block& block,
                         break;
                     case pl::gate_kind::trigger:
                     case pl::gate_kind::compute: {
-                        if (!master) {
+                        if (!d.master) {
                             t_out = t_ready + d_gate;
                             break;
                         }
                         const double normal = t_data + d_gate + dm.d_ee_penalty;
-                        const double early = tok[d.efire_in].time + d_efire;
+                        const double early = efire_slot->time[0] + d_efire;
                         t_out = hit == mask ? std::min(early, normal) : normal;
                         if (early < normal) {
                             wins += static_cast<std::uint64_t>(std::popcount(hit));
@@ -886,7 +932,7 @@ void pl_simulator::run_lane_sweep(const stimulus_block& block,
                 double* const to = next_lane_slabs();
                 double* const ta = to + k_lanes;
                 alignas(64) double tr[k_lanes];
-                gather_lane_times(in_flat, d.in_begin, d.in_end, t_ready, tr);
+                gather_lane_times(refs, d.ref_begin, d.ref_end, t_ready, tr);
                 switch (d.kind) {
                     case pl::gate_kind::source:
                         for (std::size_t l = 0; l < k_lanes; ++l) {
@@ -895,11 +941,11 @@ void pl_simulator::run_lane_sweep(const stimulus_block& block,
                         }
                         break;
                     case pl::gate_kind::sink: {
-                        const lane_token& t = tok[data_flat[d.data_begin]];
-                        if (t.slab == 0) {
-                            out_shared = std::max(out_shared, t.time);
+                        const lane_slot& t = slots[lane_index(refs[d.ref_begin])];
+                        if (t.slab[0] == 0) {
+                            out_shared = std::max(out_shared, t.time[0]);
                         } else {
-                            const double* const tv = lane_times(t.slab);
+                            const double* const tv = lane_times(t.slab[0]);
                             for (std::size_t l = 0; l < k_lanes; ++l) {
                                 out_lane[l] = std::max(out_lane[l], tv[l]);
                             }
@@ -914,15 +960,15 @@ void pl_simulator::run_lane_sweep(const stimulus_block& block,
                         break;
                     case pl::gate_kind::trigger:
                     case pl::gate_kind::compute: {
-                        if (!master) {
+                        if (!d.master) {
                             for (std::size_t l = 0; l < k_lanes; ++l) to[l] = tr[l] + d_gate;
                             break;
                         }
                         alignas(64) double td[k_lanes];
                         alignas(64) double ef[k_lanes];
-                        gather_lane_times(data_flat, d.data_begin,
-                                          d.data_begin + d.num_data, t_data, td);
-                        gather_lane_times(&d.efire_in, 0, 1, tok[d.efire_in].time, ef);
+                        gather_lane_times(refs, d.ref_begin,
+                                          d.ref_begin + d.num_data, t_data, td);
+                        gather_lane_times(&d.efire, 0, 1, efire_slot->time[0], ef);
                         std::uint64_t divergent = 0;
                         for (std::size_t l = 0; l < k_lanes; ++l) {
                             const double normal = td[l] + d_gate + dm.d_ee_penalty;
@@ -962,20 +1008,14 @@ void pl_simulator::run_lane_sweep(const stimulus_block& block,
             }
 
             ++firings;
-            const std::uint64_t after = events + (d.out_end - d.out_begin);
+            const std::uint64_t after = events + d.num_out;
             if (after >= next_check) {
                 sweep_poll(events, after, next_check, "lanes");
             } else {
                 events = after;
             }
-            for (std::uint32_t i = d.out_begin; i < d.out_end; ++i) {
-                const std::uint32_t slot = out_slot[i];
-                if (slot & 1u) continue;  // marked: lands behind the initial token
-                const pl::edge_id e = slot >> 1;
-                tok[e] = is_ack[e] ? lane_token{word, t_ack, ack_slab}
-                                   : lane_token{word, t_out, out_slab};
-            }
-            if (checked) ++fired_waves_[g];
+            slots[pos] = {word, {t_out, t_ack}, {out_slab, ack_slab}};
+            if (checked) ++fired_waves_[d.gate];
         }
     } catch (...) {
         flush();
@@ -1016,7 +1056,22 @@ lane_block_result pl_simulator::run_lanes(const stimulus_block& block) {
     result.num_vectors = block.num_vectors;
     result.outputs.assign(pl_.sinks().size(), 0);
 
-    if (options_.queue == queue_kind::binary_heap) {
+    const bool use_heap = options_.queue == queue_kind::binary_heap;
+    if (schedule_.order.size() < pl_.num_gates()) {
+        // A token-free cycle: its gates never fire.  Behind a register it
+        // starves only the waves after the first, which a one-wave run never
+        // reaches, so both lane engines reject it before any firing.
+        reset();
+        stats_.lane_blocks = 1;
+        stats_.lane_vectors = block.num_vectors;
+        const pl::gate_id g = desc_[schedule_.order.size()].gate;
+        throw deadlock_error(
+            options_.label,
+            "0/1 waves stable, gate " + std::to_string(g) + " '" +
+                pl_.gate(g).name + "' is on or behind a token-free cycle",
+            0, use_heap ? "heap" : "lanes");
+    }
+    if (use_heap) {
         // The lane oracle: one serial run per lane.  Stats are summed so
         // callers see block totals, and the running total is committed
         // before a rethrow so a lane that throws mid-loop leaves

@@ -27,16 +27,20 @@
 // phase dwarfs the EE phase), so every entry point exists twice behind
 // sim_options::queue:
 //
-//  * queue_kind::calendar (default) — the throughput engine, a static
-//    max-plus wave sweep with no event queue at all.  In a live marked graph
-//    every gate fires exactly once per wave, and each firing's time and
-//    value are a max/min recurrence over the tokens it consumes, so wave w
-//    is one pass over the gates in a topological order of the token-free
-//    edges (like a static timing analysis).  A token-free edge hands the
-//    consumer the producer's w-th deposit; a marked edge hands it the
-//    initial token at w = 0 and the (w-1)-th deposit after that.  Each edge
-//    keeps two (time, value) slots indexed by consumption parity, so a wave
-//    costs one read per in-edge and one write per out-edge.  Gates that can
+//  * queue_kind::sweep (default) — the throughput engine, a static max-plus
+//    wave sweep with no event queue at all.  In a live marked graph every
+//    gate fires exactly once per wave, and each firing's time and value are
+//    a max/min recurrence over the tokens it consumes, so wave w is one pass
+//    over the gates in a topological order of the token-free edges (like a
+//    static timing analysis).  A token-free edge hands the consumer the
+//    producer's w-th deposit; a marked edge hands it the initial token at
+//    w = 0 and the (w-1)-th deposit after that.  A firing deposits the same
+//    (time, value) on all its data out-edges and the same time on all its
+//    acks, so each gate keeps one {output time, ack time, value} slot per
+//    firing parity, laid out in firing order.  A consumer reads its
+//    producer's slot at parity (w & 1) ^ marked through a precomputed ref;
+//    at w = 0 a marked ref supplies its edge's initial value itself.  A
+//    firing costs one read per in-edge and one write.  Gates that can
 //    never fire (a token-free cycle, or no inputs and no stimulus) switch
 //    the sweep to per-firing readiness checks so the run stops at exactly
 //    the firings the event loop would have reached.
@@ -50,33 +54,37 @@
 // hand-off is no token): the pipeline's only marked-graph check.
 //
 // Both engines produce bit-identical wave records and stats (events =
-// deposits, firings, EE hits/misses/wins) — asserted over the ITC99 suite
-// and every workload preset, plain and EE'd, under four delay models, by
-// tests/test_sim_queue.cpp, and at bench time by bench_sim_queue.  Traces
-// hold the same token arrivals; the heap's are in pop order, the sweep's
-// in (time, edge) order.
+// deposits, firings, EE hits/misses/wins) — asserted over the ITC99 suite,
+// every workload preset, plain and EE'd, under four delay models, and over
+// random live and checked-mode marked graphs by tests/test_sim_queue.cpp,
+// and at bench time by bench_sim_queue.  Traces hold the same token
+// arrivals; the heap's are in pop order, the sweep's in (time, edge) order.
 //
 // ## Lane-parallel mode (run_lanes)
 //
 // run_lanes packs 64 independent single-vector simulations into one pass:
 // every data token carries a 64-bit value word (bit L = lane L's value), and
 // LUT and trigger evaluation run through the mux-tree word kernel
-// bf::truth_table::eval_word_lanes.  Under queue_kind::calendar the pass is
+// bf::truth_table::eval_word_lanes.  Under queue_kind::sweep the pass is
 // the wave sweep with one wave: each gate fires once, in the same firing
-// order, with the same structural safety check and the same budget, cancel
-// and deadlock handling.  Token values are timing-independent, so the value
-// words are right for every lane.  Token times obey the same max/min
-// recurrence per lane; they stay one shared scalar until an EE master's
-// mixed efire word lets some lanes take the early path, and from there a
-// firing whose per-lane times differ writes them once into a 64-double slab
-// (one for its data outputs, one for its acks) that its out-edges point
-// to.  A deposit onto a marked edge lands behind the initial token, which
-// is all a one-wave run reads there, so it is counted but not stored.
-// Lane L of the result is bit-identical to a serial run({vector L})
-// (asserted by tests/test_lane_sim.cpp over every workload preset and ITC99
-// b01-b10, plain and EE'd, under four delay models).  Under
-// queue_kind::binary_heap run_lanes makes 64 serial run() calls instead:
-// the lane oracle.  See src/sim/README.md.
+// order, over the same refs, with the same structural safety check and the
+// same budget, cancel and deadlock handling.  A one-wave run reads a
+// producer's only firing over a token-free edge and the initial token over
+// a marked one, so each firing writes one lane slot, and marked refs read
+// one of two constant initial-token slots.  Token values are
+// timing-independent, so the value words are right for every lane.  Token
+// times obey the same max/min recurrence per lane; they stay one shared
+// scalar until an EE master's mixed efire word lets some lanes take the
+// early path, and from there a firing whose per-lane times differ writes
+// them once into a 64-double slab (one for its data outputs, one for its
+// acks) that its slot points to.  A token-free cycle (a gate off the firing
+// order) raises deadlock_error before any firing: behind a register it
+// starves only later waves, which a one-wave run never reaches.  Lane L of
+// the result is bit-identical to a serial run({vector L}) (asserted by
+// tests/test_lane_sim.cpp over every workload preset and ITC99 b01-b10,
+// plain and EE'd, under four delay models).  Under queue_kind::binary_heap
+// run_lanes makes 64 serial run() calls instead: the lane oracle.  See
+// src/sim/README.md.
 
 #pragma once
 
@@ -103,7 +111,7 @@ enum class queue_kind : std::uint8_t {
     binary_heap,  ///< oracle: std::push_heap event loop over deposit structs
     /// The throughput engine (default): the wave sweep, over every wave for
     /// run/run_packed and over one wave of 64-bit words for run_lanes.
-    calendar,
+    sweep,
 };
 
 struct sim_options {
@@ -123,7 +131,7 @@ struct sim_options {
     /// deposit raises sim::budget_exhausted (see sim/errors.hpp).
     std::uint64_t max_events = 100'000'000;
     /// Engine selection (see queue_kind).
-    queue_kind queue = queue_kind::calendar;
+    queue_kind queue = queue_kind::sweep;
     /// Circuit/job label embedded in every typed simulator failure, so fleet
     /// logs can attribute a throw to its job ("b05", "datapath-like/3").
     std::string label;
@@ -140,8 +148,8 @@ struct sim_options {
 };
 
 const char* to_string(queue_kind kind);
-/// Accepts "heap" / "binary_heap" and "calendar"; throws
-/// std::invalid_argument for anything else.
+/// Accepts "heap" / "binary_heap" and "sweep" (alias "calendar", the
+/// engine's former name); throws std::invalid_argument for anything else.
 queue_kind queue_kind_from_string(const std::string& name);
 
 /// One recorded token arrival (collect_trace mode).
@@ -256,7 +264,9 @@ public:
     /// bit-identical to run({vector L}); output bits of unoccupied lanes are
     /// 0.  stats() afterwards covers the whole block: events/firings count
     /// engine work, ee_* count per-lane semantics.  Throws the typed
-    /// failures of run().  Requires options.collect_trace == false (throws
+    /// failures of run(), and deadlock_error with 0 events, under both
+    /// engines, when a token-free cycle keeps some gate off the firing
+    /// order.  Requires options.collect_trace == false (throws
     /// std::invalid_argument — per-lane waveforms would need 64 scalar runs
     /// anyway).  The binary_heap engine selection runs 64 serial run()
     /// calls instead (the lane oracle).
@@ -275,25 +285,30 @@ private:
         bool value = false;
         double time = 0.0;
     };
-    /// Precomputed per-gate firing metadata: everything try_fire needs,
-    /// gathered from pl_gate / trigger gate / source-sink indices into one
-    /// flat record so the hot path reads a single array.  Cache-line
-    /// aligned: the scalar fields and the low function word share the first
-    /// line; only >6-input gates (and wide triggers) reach into the second.
+    /// Precomputed per-gate firing metadata, stored by sweep position (see
+    /// pos_): everything a firing needs, gathered from pl_gate / trigger
+    /// gate / source-sink indices into one flat record so the sweep streams
+    /// through a single array.  Cache-line aligned: the scalar fields and
+    /// the low function word share the first line; only >6-input gates (and
+    /// wide triggers) reach into the second.
     struct alignas(64) gate_desc {
         pl::gate_kind kind = pl::gate_kind::compute;
         std::uint8_t num_data = 0;        ///< LUT operand count (<= 8)
         std::uint8_t trig_pin_count = 0;  ///< master: trigger support size
         bool const_value = false;
         /// Has a token-free data / ack out-edge: one a one-wave lane sweep
-        /// reads (a deposit onto a marked edge lands behind its token).
+        /// reads (a marked edge hands over its initial token instead).
         bool free_data_out = false;
         bool free_ack_out = false;
-        std::uint32_t in_begin = 0, in_end = 0;    ///< topo_.in_flat range
-        std::uint32_t data_begin = 0;              ///< topo_.data_flat offset
-        std::uint32_t out_begin = 0, out_end = 0;  ///< topo_.out_flat range
-        pl::edge_id efire_in = pl::k_invalid_edge;
-        std::uint32_t env_slot = 0;  ///< position in sources() / sinks()
+        bool master = false;  ///< has an efire input (an EE master)
+        pl::gate_id gate = pl::k_invalid_gate;
+        /// refs_[ref_begin, ref_begin + num_data): the pin-ordered data
+        /// refs; [ref_begin + num_data, ref_end): the time-only refs (acks,
+        /// efire, any other non-pin in-edge).
+        std::uint32_t ref_begin = 0, ref_end = 0;
+        std::uint32_t num_out = 0;    ///< out-degree: deposits per firing
+        std::uint32_t efire = 0;      ///< master: the efire edge's ref
+        std::uint32_t env_slot = 0;   ///< position in sources() / sinks()
         /// Master: trigger pin i taps master data pin trig_pins[i] — the
         /// pin-packing map that replaces bf::support_members at fire time.
         std::uint8_t trig_pins[bf::k_max_vars] = {};
@@ -326,36 +341,54 @@ private:
     void record_sink(pl::gate_id g);
 
     // --- Throughput engine (static max-plus wave sweep) -------------------
-    /// One token of the sweep: slot 2e + (c & 1) of edge e holds the token
-    /// its c-th consumption reads.
-    struct sweep_token {
-        double time = 0.0;
+    /// A ref is one in-edge as its consumer sees it: the producer's sweep
+    /// position, whether the edge is marked, the value of its initial token
+    /// and whether it carries the producer's ack time or its output time.
+    static constexpr std::uint32_t k_ref_marked = 1u;
+    static constexpr std::uint32_t k_ref_init = 2u;
+    static constexpr std::uint32_t k_ref_ack = 4u;
+    static constexpr unsigned k_ref_pos_shift = 3;
+    static std::uint32_t ref_pos(std::uint32_t ref) { return ref >> k_ref_pos_shift; }
+    /// One firing's tokens: slot 2 * pos + (k & 1) holds the k-th firing of
+    /// the gate at sweep position pos.  All its data out-edges carry time[0]
+    /// and value, all its ack out-edges time[1].
+    struct gate_slot {
+        double time[2] = {0.0, 0.0};
         bool value = false;
     };
     void run_sweep();
-    bool sweep_ready(pl::gate_id g, std::size_t wave) const;
+    bool sweep_ready(std::uint32_t pos, std::size_t wave) const;
     void sweep_poll(std::uint64_t& events, std::uint64_t after,
                     std::uint64_t& next_check, const char* engine);
 
     // --- Lane sweep (one wave, 64-bit value words per token) --------------
-    /// One token of the lane sweep.  A one-wave run reads each edge once:
-    /// the initial token of a marked edge, the producer's only deposit on a
-    /// token-free edge.  So one slot per edge suffices.
-    struct lane_token {
+    /// One firing of the lane sweep.  A one-wave run reads each producer's
+    /// only firing on a token-free edge and the initial token on a marked
+    /// one, so one slot per position suffices, plus two constant slots
+    /// holding the initial tokens of value 0 and 1.
+    struct lane_slot {
         std::uint64_t word = 0;  ///< bit L = lane L's value
-        /// Every lane's time when slab == 0; 0 otherwise, so a max from 0
-        /// over token times yields the shared part.
-        double time = 0.0;
+        /// Per output kind (data, ack): every lane's time when slab == 0;
+        /// 0 otherwise, so a max from 0 over token times yields the shared
+        /// part.
+        double time[2] = {0.0, 0.0};
         /// 0 = one shared time; else lane_times(slab) holds the 64 times.
-        std::uint32_t slab = 0;
+        std::uint32_t slab[2] = {0, 0};
     };
+    /// The lane slot a ref reads: its producer's, or an initial token.
+    std::uint32_t lane_index(std::uint32_t ref) const {
+        return ref & k_ref_marked
+                   ? static_cast<std::uint32_t>(desc_.size()) +
+                         ((ref & k_ref_init) ? 1u : 0u)
+                   : ref_pos(ref);
+    }
     void run_lane_sweep(const stimulus_block& block, lane_block_result& result);
     const double* lane_times(std::uint32_t slab) const {
         return lane_slabs_.data() + std::size_t{slab - 1} * k_lanes;
     }
     /// out[L] = the max of `floor` and lane L's time on every slab token of
-    /// edges[begin, end).
-    void gather_lane_times(const pl::edge_id* edges, std::uint32_t begin,
+    /// refs[begin, end).
+    void gather_lane_times(const std::uint32_t* refs, std::uint32_t begin,
                            std::uint32_t end, double floor, double* out) const;
     /// Room for two slabs at the arena's end; returns the first.
     double* next_lane_slabs();
@@ -371,23 +404,24 @@ private:
 
     // Static structure (built once per netlist).
     pl::flat_topology topo_;
-    std::vector<gate_desc> desc_;
-    std::vector<std::uint32_t> in_count_;  ///< per gate: |in_edges|
     /// Firing order and never-firing gates; any of the latter put the
     /// sweep in checked mode (readiness tested per firing).
     pl::firing_schedule schedule_;
     /// Non-empty when the netlist is structurally unsafe: the violation.
     std::string unsafe_;
-    /// Per topo_.out_flat position: 2 * edge | init_token, so the slot a
-    /// sweep firing of parity p writes is sweep_out_[i] ^ p.
-    std::vector<std::uint32_t> sweep_out_;
+    /// Per gate: its sweep position — schedule_.order first, then the gates
+    /// off the order.
+    std::vector<std::uint32_t> pos_;
+    std::vector<gate_desc> desc_;       ///< per position
+    std::vector<std::uint32_t> refs_;   ///< per position: see gate_desc
+    std::vector<std::uint32_t> in_count_;  ///< per gate: |in_edges|
 
     // Per-run state — reference engine.
     std::vector<token_slot> tokens_;  ///< per edge (AoS)
     std::vector<deposit> heap_;       ///< min-heap via std::push_heap
 
     // Per-run state — throughput engine.
-    std::vector<sweep_token> sweep_slots_;  ///< per edge x consumption parity
+    std::vector<gate_slot> gate_slots_;  ///< per position x firing parity
 
     // Per-run state — shared.
     std::vector<std::uint32_t> pending_;      ///< per gate: inputs without tokens
@@ -395,7 +429,7 @@ private:
     std::uint64_t next_seq_ = 0;
 
     // Per-run state — lane sweep.
-    std::vector<lane_token> lane_tokens_;  ///< per edge
+    std::vector<lane_slot> lane_slots_;  ///< per position, then the two initial tokens
     /// Slab arena: 64 times per slab, at most one data and one ack slab per
     /// firing; lane_slab_end_ marks its used part.
     std::vector<double> lane_slabs_;

@@ -12,7 +12,6 @@ void stimulus_block::extract(std::size_t vec, std::vector<bool>& out) const {
 std::vector<stimulus_block> make_stimulus(std::size_t count, std::size_t width,
                                           std::uint64_t seed) {
     std::mt19937_64 rng(seed);
-    std::bernoulli_distribution bit(0.5);
     std::vector<stimulus_block> blocks((count + k_lanes - 1) / k_lanes);
     for (std::size_t b = 0; b < blocks.size(); ++b) {
         blocks[b].width = width;
@@ -25,7 +24,7 @@ std::vector<stimulus_block> make_stimulus(std::size_t count, std::size_t width,
         stimulus_block& block = blocks[v / k_lanes];
         const std::uint64_t lane_bit = std::uint64_t{1} << (v % k_lanes);
         for (std::size_t i = 0; i < width; ++i) {
-            if (bit(rng)) block.words[i] |= lane_bit;
+            if (rng() < k_stimulus_one_below) block.words[i] |= lane_bit;
         }
     }
     return blocks;

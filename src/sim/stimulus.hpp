@@ -8,12 +8,12 @@
 // vectors as `width` words, where bit L of word i is vector L's value of
 // input i.
 //
-// Determinism contract: make_stimulus draws from the same mt19937_64 +
-// bernoulli(1/2) stream, in the same vector-major order, as the historical
-// random_vectors — so lane L of block B is byte-identical to vector
-// 64*B + L of the unpacked representation for any seed.  random_vectors is
-// now implemented by unpacking blocks, which makes the identity structural
-// rather than coincidental.
+// Determinism contract: make_stimulus sets a bit when one mt19937_64 draw is
+// below k_stimulus_one_below, in vector-major order, so the stream depends
+// only on the standard-specified engine.  Under libstdc++ this is the
+// stream std::bernoulli_distribution(0.5) drew from the same engine.
+// random_vectors unpacks the blocks, so lane L of block B is byte-identical
+// to vector 64*B + L of the unpacked representation for any seed.
 
 #pragma once
 
@@ -24,6 +24,14 @@ namespace plee::sim {
 
 /// Lanes per stimulus block: one bit per vector in a 64-bit word.
 inline constexpr std::size_t k_lanes = 64;
+
+/// A stimulus bit is 1 when its draw is below 2^63 - 512.  libstdc++'s
+/// bernoulli_distribution(0.5) tests generate_canonical(draw) < 0.5, and
+/// the draw's conversion to double rounds to nearest even: every draw from
+/// 2^63 - 512 up rounds to 2^63, i.e. 0.5.  So the threshold reproduces the
+/// distribution bit for bit without its floating-point step.
+inline constexpr std::uint64_t k_stimulus_one_below =
+    (std::uint64_t{1} << 63) - 512;
 
 /// Up to 64 input vectors in transposed (lane-packed) layout.
 struct stimulus_block {

@@ -66,6 +66,14 @@ elseif(CASE STREQUAL "retired_flags")
              --circuits b05 --fail-fast)
   expect_run(1 "unknown action 'transient'.*usage: plee_fleet"
              --circuits b05 --inject synth.map=0.4:transient)
+elseif(CASE STREQUAL "queue_names")
+  # The simulator engine is spelled `sweep`; `calendar`, its former name,
+  # stays an alias.
+  expect_run(0 "simulator \\(sweep queue" --circuits b01 --vectors 5 --queue sweep)
+  expect_run(0 "simulator \\(sweep queue" --circuits b01 --vectors 5 --queue calendar)
+  expect_run(0 "simulator \\(heap queue" --circuits b01 --vectors 5 --queue heap)
+  expect_run(1 "unknown queue kind: 'splay'.*usage: plee_fleet"
+             --circuits b01 --queue splay)
 elseif(CASE STREQUAL "truncated_blif")
   # A BLIF file cut off inside a cover row.
   file(WRITE "${WORK_DIR}/truncated.blif"

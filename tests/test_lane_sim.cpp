@@ -140,6 +140,54 @@ TEST(LaneStimulus, PackedBlocksMatchRandomVectors) {
     }
 }
 
+/// A URBG that returns one fixed value: pins a draw to the rounding edge.
+struct fixed_urbg {
+    using result_type = std::uint64_t;
+    std::uint64_t value = 0;
+    static constexpr std::uint64_t min() { return 0; }
+    static constexpr std::uint64_t max() { return ~std::uint64_t{0}; }
+    std::uint64_t operator()() { return value; }
+};
+
+TEST(LaneStimulus, ThresholdDrawReproducesBernoulliHalf) {
+    // The threshold's own edge: 2^63 - 513 is a 1, 2^63 - 512 a 0.
+    EXPECT_EQ(k_stimulus_one_below, (std::uint64_t{1} << 63) - 512);
+#if defined(__GLIBCXX__)
+    // libstdc++'s bernoulli_distribution(0.5) rounds the draw to double;
+    // around 2^63 the spacing is 1024, and the tie at 2^63 - 512 rounds to
+    // the even 2^63, i.e. 0.5, which is not below 0.5.
+    const std::uint64_t edge = std::uint64_t{1} << 63;
+    for (const std::uint64_t draw :
+         {std::uint64_t{0}, edge - 1024, edge - 513, edge - 512, edge - 511,
+          edge - 1, edge, ~std::uint64_t{0}}) {
+        fixed_urbg g{draw};
+        std::bernoulli_distribution half(0.5);
+        EXPECT_EQ(half(g), draw < k_stimulus_one_below) << draw;
+    }
+    // Seeded: the raw streams, and make_stimulus against blocks built from
+    // the distribution in the same vector-major order.
+    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{42},
+                                     std::uint64_t{0x9e3779b97f4a7c15}}) {
+        std::mt19937_64 a(seed), b(seed);
+        std::bernoulli_distribution half(0.5);
+        for (int i = 0; i < 200000; ++i) {
+            ASSERT_EQ(half(a), b() < k_stimulus_one_below) << seed << " #" << i;
+        }
+        const std::size_t count = 150, width = 13;
+        const std::vector<stimulus_block> blocks = make_stimulus(count, width, seed);
+        std::mt19937_64 rng(seed);
+        for (std::size_t v = 0; v < count; ++v) {
+            for (std::size_t i = 0; i < width; ++i) {
+                ASSERT_EQ(blocks[v / k_lanes].bit(v % k_lanes, i), half(rng))
+                    << seed << " vector " << v << " input " << i;
+            }
+        }
+    }
+#else
+    GTEST_SKIP() << "bernoulli_distribution's algorithm is library-specific";
+#endif
+}
+
 // --- Synchronous golden model -------------------------------------------
 
 TEST(SyncLanes, MatchesScalarOverMultiCycleTrajectories) {
@@ -472,7 +520,7 @@ TEST(LaneSweep, CheckedModeDeadlockMatchesHeapFallback) {
         make_stimulus(5, pl.sources().size(), 3);
     std::string diagnostic[2];
     sim_run_stats stats[2];
-    for (const queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
+    for (const queue_kind queue : {queue_kind::binary_heap, queue_kind::sweep}) {
         const int k = queue == queue_kind::binary_heap ? 0 : 1;
         sim_options opts;
         opts.queue = queue;
@@ -605,7 +653,7 @@ TEST(LaneSweep, CancelAndProgressRunAtTheEventCadence) {
     EXPECT_EQ(stopped.stats().events, k_cancel_check_events);
 }
 
-TEST(LaneSim, HeapEngineFallsBackToSerialAndMatchesCalendar) {
+TEST(LaneSim, HeapEngineFallsBackToSerialAndMatchesSweep) {
     const built_circuit c =
         build_preset(wl::scenario::control_fsm, 60, 13, true);
     const std::vector<stimulus_block> blocks =
@@ -613,9 +661,9 @@ TEST(LaneSim, HeapEngineFallsBackToSerialAndMatchesCalendar) {
     sim_options heap_opts;
     heap_opts.queue = queue_kind::binary_heap;
     pl_simulator heap_sim(c.pl, heap_opts);
-    pl_simulator cal_sim(c.pl);
+    pl_simulator sweep_sim(c.pl);
     const lane_block_result h = heap_sim.run_lanes(blocks.front());
-    const lane_block_result k = cal_sim.run_lanes(blocks.front());
+    const lane_block_result k = sweep_sim.run_lanes(blocks.front());
     ASSERT_EQ(h.num_vectors, k.num_vectors);
     EXPECT_EQ(h.outputs, k.outputs);
     for (std::size_t lane = 0; lane < h.num_vectors; ++lane) {
@@ -625,9 +673,9 @@ TEST(LaneSim, HeapEngineFallsBackToSerialAndMatchesCalendar) {
     // The fallback is 40 scalar runs; the per-lane EE semantics still agree.
     EXPECT_EQ(heap_sim.stats().lane_runs, 40u);
     EXPECT_EQ(heap_sim.stats().lane_vectors, 40u);
-    EXPECT_EQ(heap_sim.stats().ee_hits, cal_sim.stats().ee_hits);
-    EXPECT_EQ(heap_sim.stats().ee_misses, cal_sim.stats().ee_misses);
-    EXPECT_EQ(heap_sim.stats().ee_wins, cal_sim.stats().ee_wins);
+    EXPECT_EQ(heap_sim.stats().ee_hits, sweep_sim.stats().ee_hits);
+    EXPECT_EQ(heap_sim.stats().ee_misses, sweep_sim.stats().ee_misses);
+    EXPECT_EQ(heap_sim.stats().ee_wins, sweep_sim.stats().ee_wins);
 }
 
 TEST(LaneSim, RejectsBadArguments) {

@@ -12,6 +12,7 @@
 #include "bench_circuits/itc99.hpp"
 #include "ee/ee_transform.hpp"
 #include "plogic/pl_mapper.hpp"
+#include "random_marked_graph.hpp"
 #include "workload/workload.hpp"
 
 namespace plee::pl {
@@ -26,11 +27,7 @@ std::string unsafe_edge(const pl_netlist& pl) {
 /// them marked.
 pl_netlist ring(std::size_t n, std::size_t tokens) {
     pl_netlist pl;
-    for (std::size_t i = 0; i < n; ++i) pl.add_gate(gate_kind::compute);
-    for (std::size_t i = 0; i < n; ++i) {
-        pl.add_ack_edge(static_cast<gate_id>(i), static_cast<gate_id>((i + 1) % n),
-                        i < tokens);
-    }
+    testing::add_ring(pl, n, tokens);
     return pl;
 }
 
@@ -110,29 +107,12 @@ TEST(PlSchedule, GateWithoutInputsNeverFires) {
 TEST(PlSchedule, AgreesWithDenseVerifyOnRandomGraphs) {
     // The structural check plus the never-firing test decide what verify()
     // decides by Tarjan and dense reachability: well-formed, live and safe.
-    // A ring of 0-2 tokens, random chords, and sometimes dangling gates
-    // with a one-way edge (which later chords may close into a cycle).
+    // testing::random_marked_graph: a ring of 0-2 tokens, random chords,
+    // and sometimes dangling gates with a one-way edge.
     std::mt19937_64 rng(2026);
     std::size_t dead = 0, ill_formed = 0, unsafe = 0, ok = 0;
     for (int trial = 0; trial < 20000; ++trial) {
-        const std::size_t n = 2 + rng() % 7;
-        pl_netlist pl = ring(n, rng() % 3);
-        const std::size_t dangling = rng() % 2 == 0 ? 0 : 1 + rng() % 2;
-        for (std::size_t d = 0; d < dangling; ++d) {
-            const gate_id g = pl.add_gate(gate_kind::compute);
-            const gate_id r = static_cast<gate_id>(rng() % n);
-            if (rng() % 2 == 0) {
-                pl.add_ack_edge(r, g, rng() % 3 == 0);
-            } else {
-                pl.add_ack_edge(g, r, rng() % 3 == 0);
-            }
-        }
-        const std::size_t gates = pl.num_gates();
-        const std::size_t extra = rng() % (2 * n);
-        for (std::size_t i = 0; i < extra; ++i) {
-            pl.add_ack_edge(static_cast<gate_id>(rng() % gates),
-                            static_cast<gate_id>(rng() % gates), rng() % 3 == 0);
-        }
+        const pl_netlist pl = testing::random_marked_graph(rng);
         const mg_report report = pl.verify();
         const flat_topology topo(pl);
         const firing_schedule s = make_firing_schedule(pl, topo);

@@ -299,7 +299,7 @@ TEST(PlSim, UnacknowledgedSourceToSinkEdgeIsRejectedBeforeAnyFiring) {
     const pl::gate_id snk = pl.add_gate(pl::gate_kind::sink, "out");
     pl.add_data_edge(src, snk, 0, false, false);
     const std::vector<stimulus_block> blocks = make_stimulus(4, 1, 1);
-    for (const queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
+    for (const queue_kind queue : {queue_kind::binary_heap, queue_kind::sweep}) {
         sim_options opts;
         opts.queue = queue;
         pl_simulator sim(pl, opts);

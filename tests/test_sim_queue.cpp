@@ -3,12 +3,15 @@
 // throughput engine) must produce exactly equal wave records and stats on
 // every circuit family — ITC99 b01-b15 and every workload scenario preset,
 // each plain and EE-transformed — under four delay models, in pipelined and
-// non-pipelined mode.  Traces must hold the same token arrivals; the sweep
-// has no pop order, so both are compared in (time, edge) order.  The typed
-// failures (budget, deadlock) and the fleet runner are checked across
-// engines too.
+// non-pipelined mode — and on random marked graphs, live or stopping in
+// checked mode, including the initial-value shapes those families lack.
+// Traces must hold the same token arrivals; the sweep has no pop order, so
+// both are compared in (time, edge) order.  The typed failures (budget,
+// deadlock) and the fleet runner are checked across engines too.
 
 #include <algorithm>
+#include <bit>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +22,8 @@
 #include "ee/ee_transform.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "plogic/pl_netlist.hpp"
+#include "plogic/pl_schedule.hpp"
+#include "random_marked_graph.hpp"
 #include "runner/runner.hpp"
 #include "sim/errors.hpp"
 #include "sim/measure.hpp"
@@ -97,11 +102,11 @@ void check_all_modes(const pl::pl_netlist& pl, const std::string& label,
         const engine_run heap = simulate(pl, queue_kind::binary_heap,
                                          non_pipelined, true, vectors, delays);
         expect_identical(heap,
-                         simulate(pl, queue_kind::calendar, non_pipelined, true,
+                         simulate(pl, queue_kind::sweep, non_pipelined, true,
                                   vectors, delays),
                          mode + " trace");
         // Untraced: waves and stats only (the oracle's trace stands in).
-        engine_run untraced = simulate(pl, queue_kind::calendar, non_pipelined,
+        engine_run untraced = simulate(pl, queue_kind::sweep, non_pipelined,
                                        false, vectors, delays);
         EXPECT_TRUE(untraced.trace.empty()) << mode;
         untraced.trace = time_edge_order(heap.trace);
@@ -219,7 +224,7 @@ TEST(SimQueue, EventBudgetExhaustsIdentically) {
     const pl::pl_netlist pl = map_with_ee(bench::make_b05());
     const std::vector<std::vector<bool>> vectors =
         random_vectors(50, pl.sources().size(), 1);
-    for (queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
+    for (queue_kind queue : {queue_kind::binary_heap, queue_kind::sweep}) {
         sim_options opts;
         opts.queue = queue;
         opts.max_events = 1000;
@@ -238,7 +243,7 @@ TEST(SimQueue, OversizedEventBudgetFallsBackToHeapEngine) {
     const std::vector<std::vector<bool>> vectors =
         random_vectors(10, pl.sources().size(), 3);
     sim_options huge;
-    huge.queue = queue_kind::calendar;
+    huge.queue = queue_kind::sweep;
     huge.max_events = std::uint64_t{1} << 60;
     pl_simulator fallback(pl, huge);
     sim_options heap_opts;
@@ -284,7 +289,7 @@ TEST(SimQueue, PartialProgressDeadlockOnBothEngines) {
     for (bool non_pipelined : {true, false}) {
         std::string diagnostic[2];
         sim_run_stats stats[2];
-        for (queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
+        for (queue_kind queue : {queue_kind::binary_heap, queue_kind::sweep}) {
             const int k = queue == queue_kind::binary_heap ? 0 : 1;
             sim_options opts;
             opts.queue = queue;
@@ -307,12 +312,262 @@ TEST(SimQueue, PartialProgressDeadlockOnBothEngines) {
     }
 }
 
+/// How one engine ended a run: its records, stats and trace, or the typed
+/// failure it raised (its message up to the event count and engine name).
+struct outcome {
+    engine_run run;
+    std::string error;
+};
+
+outcome try_simulate(const pl::pl_netlist& pl, queue_kind queue,
+                     bool non_pipelined,
+                     const std::vector<std::vector<bool>>& vectors,
+                     const delay_model& delays = {}) {
+    sim_options opts;
+    opts.queue = queue;
+    opts.non_pipelined = non_pipelined;
+    opts.collect_trace = true;
+    opts.delays = delays;
+    pl_simulator simulator(pl, opts);
+    outcome o;
+    try {
+        o.run.waves = simulator.run(vectors);
+        o.run.trace = simulator.trace();
+    } catch (const sim_error& e) {
+        const std::string what = e.what();
+        o.error = what.substr(0, what.find(" (after"));
+    }
+    o.run.stats = simulator.stats();
+    return o;
+}
+
+/// run_lanes under the lane sweep against the lane oracle (one serial heap
+/// run per lane): sink words, per-lane stable times and the per-lane EE
+/// counters, or the same typed failure.
+void expect_lanes_match_oracle(const pl::pl_netlist& pl, const std::string& label,
+                               std::uint64_t seed) {
+    const std::vector<stimulus_block> blocks =
+        make_stimulus(40, pl.sources().size(), seed);
+    lane_block_result result[2];
+    std::string error[2];
+    sim_run_stats stats[2];
+    for (const queue_kind queue : {queue_kind::binary_heap, queue_kind::sweep}) {
+        const int k = queue == queue_kind::sweep ? 1 : 0;
+        sim_options opts;
+        opts.queue = queue;
+        pl_simulator simulator(pl, opts);
+        try {
+            result[k] = simulator.run_lanes(blocks.front());
+        } catch (const sim_error& e) {
+            const std::string what = e.what();
+            error[k] = what.substr(0, what.find(" (after"));
+        }
+        stats[k] = simulator.stats();
+    }
+    EXPECT_EQ(error[0], error[1]) << label;
+    if (!error[0].empty() || !error[1].empty()) return;
+    EXPECT_EQ(result[0].outputs, result[1].outputs) << label;
+    for (std::size_t lane = 0; lane < result[0].num_vectors; ++lane) {
+        EXPECT_EQ(result[0].input_stable[lane], result[1].input_stable[lane])
+            << label << " lane " << lane;
+        EXPECT_EQ(result[0].output_stable[lane], result[1].output_stable[lane])
+            << label << " lane " << lane;
+    }
+    EXPECT_EQ(stats[0].ee_hits, stats[1].ee_hits) << label;
+    EXPECT_EQ(stats[0].ee_misses, stats[1].ee_misses) << label;
+    EXPECT_EQ(stats[0].ee_wins, stats[1].ee_wins) << label;
+}
+
+/// A random function of `pins` <= 6 inputs.
+bf::truth_table random_function(int pins, std::mt19937_64& rng) {
+    const std::uint64_t rows = std::uint64_t{1} << pins;
+    return bf::truth_table(pins, rows == 64 ? rng() : rng() & ((std::uint64_t{1} << rows) - 1));
+}
+
+/// A graph of testing::random_marked_graph made simulable.  Each edge
+/// becomes, at random, a data edge on the consumer's next pin (a marked one
+/// with a random initial value, and more often, so that producers drive
+/// several) or an acknowledge; a source drives one gate
+/// and a sink reads another, each on its own one-token cycle; every compute
+/// gate gets a random function, and some gates with two or more pins a
+/// trigger over a random subset of them.
+pl::pl_netlist random_simulable_graph(std::mt19937_64& rng) {
+    const auto add = [&rng](pl::pl_netlist& pl, pl::gate_id from, pl::gate_id to,
+                            bool marked) {
+        const std::size_t pins = pl.gate(to).data_in.size();
+        const bool data = pins < 4 && rng() % 4 < (marked ? 3u : 2u);
+        const bool init = rng() % 2 == 0;
+        if (data) {
+            pl.add_data_edge(from, to, static_cast<int>(pins), marked, marked && init);
+        } else {
+            pl.add_ack_edge(from, to, marked);
+        }
+    };
+    pl::pl_netlist pl = pl::testing::random_marked_graph(rng, add);
+    const pl::gate_id inner = static_cast<pl::gate_id>(pl.num_gates());
+    const pl::gate_id driven = static_cast<pl::gate_id>(rng() % inner);
+    const pl::gate_id read = static_cast<pl::gate_id>(rng() % inner);
+    const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
+    pl.add_data_edge(src, driven, static_cast<int>(pl.gate(driven).data_in.size()),
+                     false, false);
+    pl.add_ack_edge(driven, src, true);
+    const pl::gate_id snk = pl.add_gate(pl::gate_kind::sink, "out");
+    pl.add_data_edge(read, snk, 0, false, false);
+    pl.add_ack_edge(snk, read, true);
+    for (pl::gate_id g = 0; g < inner; ++g) {
+        const int pins = static_cast<int>(pl.gate(g).data_in.size());
+        pl.set_function(g, random_function(pins, rng));
+    }
+    for (pl::gate_id g = 0; g < inner; ++g) {
+        const std::size_t pins = pl.gate(g).data_in.size();
+        if (pins < 2 || rng() % 2 != 0) continue;
+        const std::uint32_t all = (1u << pins) - 1;
+        const std::uint32_t mask = 1 + static_cast<std::uint32_t>(rng() % (all - 1));
+        pl.attach_trigger(g, random_function(std::popcount(mask), rng), mask);
+    }
+    return pl;
+}
+
+/// Producers that drive marked data edges with different initial values,
+/// and marked edges whose producer comes before its consumer in the firing
+/// order: the two cases a per-gate token store must get right.
+struct marking_cases {
+    std::size_t mixed_init_producers = 0;
+    std::size_t marked_forward_edges = 0;
+};
+
+marking_cases count_marking_cases(const pl::pl_netlist& pl,
+                                  const pl::firing_schedule& schedule) {
+    marking_cases c;
+    std::vector<std::size_t> pos(pl.num_gates(), pl.num_gates());
+    for (std::size_t i = 0; i < schedule.order.size(); ++i) pos[schedule.order[i]] = i;
+    for (pl::gate_id g = 0; g < pl.num_gates(); ++g) {
+        bool init[2] = {false, false};
+        for (const pl::edge_id e : pl.gate(g).out_edges) {
+            const pl::pl_edge& edge = pl.edge(e);
+            if (!edge.init_token) continue;
+            if (edge.kind == pl::edge_kind::data) init[edge.init_value ? 1 : 0] = true;
+            if (edge.to != g && pos[g] < pos[edge.to]) ++c.marked_forward_edges;
+        }
+        c.mixed_init_producers += init[0] && init[1] ? 1 : 0;
+    }
+    return c;
+}
+
+/// A live, safe graph with both register shapes: gate r feeds itself over a
+/// marked data edge whose initial token is 1, and gate q over a marked data
+/// edge from r whose initial token is 0.
+pl::pl_netlist two_initial_values() {
+    pl::pl_netlist pl;
+    const pl::gate_id src = pl.add_gate(pl::gate_kind::source, "in");
+    const pl::gate_id r = pl.add_gate(pl::gate_kind::compute, "r");
+    const pl::gate_id q = pl.add_gate(pl::gate_kind::compute, "q");
+    const pl::gate_id snk = pl.add_gate(pl::gate_kind::sink, "out");
+    pl.set_function(r, bf::truth_table::variable(2, 0) ^ bf::truth_table::variable(2, 1));
+    pl.set_function(q, bf::truth_table::variable(1, 0));
+    pl.add_data_edge(src, r, 0, false, false);
+    pl.add_ack_edge(r, src, true);
+    pl.add_data_edge(r, r, 1, true, true);
+    pl.add_data_edge(r, q, 0, true, false);
+    pl.add_ack_edge(q, r, false);
+    pl.add_data_edge(q, snk, 0, false, false);
+    pl.add_ack_edge(snk, q, true);
+    return pl;
+}
+
+TEST(SimQueue, HandBuiltInitialValuesBitIdentical) {
+    const pl::pl_netlist pl = two_initial_values();
+    ASSERT_TRUE(pl.verify().ok()) << pl.verify().violation;
+    const pl::flat_topology topo(pl);
+    EXPECT_EQ(count_marking_cases(pl, pl::make_firing_schedule(pl, topo))
+                  .mixed_init_producers,
+              1u);
+    check_all_delay_models(pl, "two-initial-values", 9);
+    expect_lanes_match_oracle(pl, "two-initial-values", 5);
+    // Wave 0 reads both initial tokens: r = in ^ 1, q = 0; after that q
+    // repeats r's previous output.
+    const engine_run run =
+        simulate(pl, queue_kind::sweep, true, false, {{false}, {true}, {true}});
+    ASSERT_EQ(run.waves.size(), 3u);
+    EXPECT_EQ(run.waves[0].outputs, std::vector<bool>{false});
+    EXPECT_EQ(run.waves[1].outputs, std::vector<bool>{true});   // r0 = 0 ^ 1
+    EXPECT_EQ(run.waves[2].outputs, std::vector<bool>{false});  // r1 = 1 ^ 1
+}
+
+TEST(SimQueue, RandomMarkedGraphsBitIdentical) {
+    // The random graphs of the structural-check differential, with data
+    // edges, an environment, functions and triggers.  Structurally unsafe
+    // graphs are rejected before any firing (Measure mutants cover that);
+    // every other graph runs on both engines in both pipeline modes, traced,
+    // and on both lane engines.  Live ones must complete bit-identically;
+    // the rest run the sweep's checked mode and must stop (or complete) at
+    // exactly the heap's firings, with the same diagnostic.
+    //
+    // In a live and safe graph a marked edge's token is the only one on
+    // some cycle through it, so the rest of that cycle is a token-free path
+    // from consumer to producer: the consumer always comes first in the
+    // firing order.  A marked edge from an earlier gate exists only when
+    // that gate never fires, i.e. in checked mode.
+    std::mt19937_64 rng(2026);
+    std::size_t live = 0, checked = 0, deadlocked = 0;
+    marking_cases live_cases, checked_cases;
+    const delay_model irregular = delay_models().back().second;
+    for (int trial = 0; trial < 20000; ++trial) {
+        const pl::pl_netlist pl = random_simulable_graph(rng);
+        const pl::flat_topology topo(pl);
+        const pl::firing_schedule schedule = pl::make_firing_schedule(pl, topo);
+        if (!pl::find_unsafe_edge(pl, topo, schedule).empty()) continue;
+        const std::string label = "trial " + std::to_string(trial);
+        const marking_cases cases = count_marking_cases(pl, schedule);
+        const bool ok = pl.verify().ok();
+        marking_cases& tally = ok ? live_cases : checked_cases;
+        tally.mixed_init_producers += cases.mixed_init_producers;
+        tally.marked_forward_edges += cases.marked_forward_edges;
+        ++(ok ? live : checked);
+        const std::vector<std::vector<bool>> vectors =
+            random_vectors(6, pl.sources().size(), static_cast<std::uint64_t>(trial));
+        for (const delay_model& delays : {delay_model{}, irregular}) {
+            for (const bool non_pipelined : {true, false}) {
+                const std::string mode =
+                    label + (non_pipelined ? " non-pipelined" : " pipelined");
+                const outcome heap = try_simulate(pl, queue_kind::binary_heap,
+                                                  non_pipelined, vectors, delays);
+                const outcome sweep = try_simulate(pl, queue_kind::sweep,
+                                                   non_pipelined, vectors, delays);
+                EXPECT_EQ(heap.error, sweep.error) << mode;
+                if (ok) {
+                    EXPECT_EQ(sweep.error, "") << mode;
+                }
+                if (!heap.error.empty()) {
+                    deadlocked += non_pipelined ? 1 : 0;
+                    EXPECT_EQ(heap.run.stats.events, sweep.run.stats.events) << mode;
+                    EXPECT_EQ(heap.run.stats.firings, sweep.run.stats.firings) << mode;
+                    continue;
+                }
+                expect_identical(heap.run, sweep.run, mode);
+            }
+        }
+        expect_lanes_match_oracle(pl, label, static_cast<std::uint64_t>(trial));
+    }
+    // 832 live, 10,983 checked-mode graphs; 52 / 1,307 mixed-value
+    // producers; 0 / 572 marked edges from an earlier gate.
+    EXPECT_GT(live, 600u);
+    EXPECT_GT(checked, 5000u);
+    EXPECT_GT(deadlocked, 5000u);
+    EXPECT_GT(live_cases.mixed_init_producers, 30u);
+    EXPECT_EQ(live_cases.marked_forward_edges, 0u);
+    EXPECT_GT(checked_cases.mixed_init_producers, 500u);
+    EXPECT_GT(checked_cases.marked_forward_edges, 300u);
+}
+
 TEST(SimQueue, QueueKindStrings) {
     EXPECT_STREQ(to_string(queue_kind::binary_heap), "heap");
-    EXPECT_STREQ(to_string(queue_kind::calendar), "calendar");
+    EXPECT_STREQ(to_string(queue_kind::sweep), "sweep");
     EXPECT_EQ(queue_kind_from_string("heap"), queue_kind::binary_heap);
     EXPECT_EQ(queue_kind_from_string("binary_heap"), queue_kind::binary_heap);
-    EXPECT_EQ(queue_kind_from_string("calendar"), queue_kind::calendar);
+    EXPECT_EQ(queue_kind_from_string("sweep"), queue_kind::sweep);
+    // The engine's former name stays an accepted alias.
+    EXPECT_EQ(queue_kind_from_string("calendar"), queue_kind::sweep);
     EXPECT_THROW(queue_kind_from_string("splay"), std::invalid_argument);
 }
 
@@ -334,7 +589,7 @@ TEST(SimQueue, FleetRunsBitIdenticalAcrossEnginesAndThreads) {
     }
 
     std::vector<runner::fleet_result> fleets;
-    for (queue_kind queue : {queue_kind::binary_heap, queue_kind::calendar}) {
+    for (queue_kind queue : {queue_kind::binary_heap, queue_kind::sweep}) {
         for (unsigned threads : {1u, 2u}) {
             runner::fleet_options opts;
             opts.num_threads = threads;

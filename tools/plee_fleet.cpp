@@ -23,8 +23,8 @@
 //   --vectors V    random vectors per measurement             (default 20)
 //   --threshold X  EE cost threshold (Equation 1 units)       (default 0)
 //   --method M     trigger derivation: exact | cube           (default exact)
-//   --queue Q      simulator engine: calendar (the wave sweep) | heap (the
-//                  event-loop oracle); results are bit-identical
+//   --queue Q      simulator engine: sweep (the wave sweep; alias calendar)
+//                  | heap (the event-loop oracle); results are bit-identical
 //   --lanes L      stimulus lanes per engine pass: 1 | 64     (default 1)
 //   --delays D     delay model: default | tie (all components 1.0 — the
 //                  lane-divergence stressor: every EE race is a tie)
@@ -113,7 +113,7 @@ void usage() {
         "[--scenario S|mixed]\n"
         "       [--gates G] [--seed S] [--threads N] [--vectors V]\n"
         "       [--threshold X] [--method exact|cube]\n"
-        "       [--queue calendar|heap] [--lanes 1|64]\n"
+        "       [--queue sweep|heap] [--lanes 1|64]\n"
         "       [--delays default|tie] [--no-check]\n"
         "       [--report] [--dot PATH] [--vcd PATH] [--blif-out PATH]\n"
         "       [--job-deadline-ms MS] [--inject SPEC] [--json PATH]\n"
