@@ -5,8 +5,10 @@
 // marked-graph verification, PL mapping, and event-simulation throughput.
 //
 // `--json <path>` additionally writes the captured timings — and the
-// word-vs-scalar speedups derived from them — as BENCH_trigger.json so the
-// perf trajectory stays machine-readable across PRs.
+// word-vs-scalar speedups derived from them — as BENCH_trigger.json, with
+// the host's environment stamp, so the perf trajectory stays
+// machine-readable and a number can be read against the machine it came
+// from.
 
 #include <benchmark/benchmark.h>
 
@@ -116,6 +118,19 @@ void bm_trigger_search_lut7(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_trigger_search_lut7);
+
+void bm_trigger_search_lut8(benchmark::State& state) {
+    // The widest masters the wide-LUT presets map to: 92 support sets each,
+    // with arrivals 0-4, so ties and the branch-and-bound's skips both occur.
+    std::uint64_t seed = 11;
+    std::vector<int> arrivals(8);
+    for (auto _ : state) {
+        const bf::truth_table master = random_wide_table(8, seed);
+        for (int& a : arrivals) a = static_cast<int>(((seed = mix(seed)) >> 32) % 5);
+        benchmark::DoNotOptimize(ee::find_best_trigger(master, arrivals));
+    }
+}
+BENCHMARK(bm_trigger_search_lut8);
 
 void bm_exact_trigger_kernel_lut8(benchmark::State& state) {
     // The widest kernel: four-word folds and shrink on an 8-variable master.
@@ -273,6 +288,7 @@ void write_json(const json_collector& collected, const std::string& path) {
     root.set("schema_version",
              report::json::number(report::k_bench_schema_version));
     root.set("bench", report::json::str("trigger"));
+    root.set("environment", report::environment_stamp());
     root.set("benchmarks", std::move(benches));
     root.set("derived", std::move(derived));
     root.write_file(path);

@@ -10,6 +10,8 @@
 // candidate, demonstrating Equation 1 end to end.
 
 #include <cstdio>
+#include <optional>
+#include <vector>
 
 #include "bool/cube_list.hpp"
 #include "bool/support.hpp"
@@ -89,23 +91,27 @@ int main() {
     {
         ee::search_options opts;
         opts.require_arrival_gain = false;  // show every candidate's score
-        const ee::search_result r =
-            ee::find_best_trigger(master, {0, 0, 2}, opts);
+        const std::vector<int> arrivals = {0, 0, 2};
         report::text_table t({"Support", "Trigger", "Coverage", "Mmax", "Tmax", "Cost"});
-        for (const ee::trigger_candidate& c : r.all) {
-            t.add_row({support_name(c.support), c.function.to_string(),
-                       report::fmt(c.coverage_percent, 0) + "%",
-                       std::to_string(c.master_max_arrival),
-                       std::to_string(c.trigger_max_arrival),
-                       report::fmt(c.cost, 1)});
+        for (std::uint32_t s : bf::cached_support_subsets(0b111, opts.max_support_size)) {
+            const std::optional<ee::trigger_candidate> c =
+                ee::evaluate_support(master, arrivals, s, opts);
+            if (!c) continue;
+            t.add_row({support_name(c->support), c->function.to_string(),
+                       report::fmt(c->coverage_percent, 0) + "%",
+                       std::to_string(c->master_max_arrival),
+                       std::to_string(c->trigger_max_arrival),
+                       report::fmt(c->cost, 1)});
         }
         std::printf("%s\n", t.to_string().c_str());
-        if (r.best) {
+        const std::optional<ee::trigger_candidate> best =
+            ee::find_best_trigger(master, arrivals, opts);
+        if (best) {
             std::printf("Best candidate: support %s, trigger %s, coverage %.0f%% "
                         "(the paper's ab + a'b' generate/kill detector).\n",
-                        support_name(r.best->support).c_str(),
-                        r.best->function.to_string().c_str(),
-                        r.best->coverage_percent);
+                        support_name(best->support).c_str(),
+                        best->function.to_string().c_str(),
+                        best->coverage_percent);
         }
     }
     return 0;

@@ -21,17 +21,23 @@ struct search_job {
 /// Runs the trigger search for jobs [begin, end) pulled in chunks from a
 /// shared counter, writing each best candidate to its own slot — the output
 /// is position-addressed, so any work interleaving yields the same result.
+/// Adds the supports it derived to `evaluated` once, on return.
 void search_worker(const pl::pl_netlist& pl, const std::vector<search_job>& jobs,
                    const ee_options& options, std::atomic<std::size_t>& next,
-                   std::vector<std::optional<trigger_candidate>>& best) {
+                   std::vector<std::optional<trigger_candidate>>& best,
+                   std::atomic<std::size_t>& evaluated) {
     const search_options& search = options.search;
     // Worker threads have no fault scope of their own; adopt the job's so
     // injected ee.search decisions are per-job deterministic.
     fault::injector::scope scope(fault::injector::hash(options.context));
     constexpr std::size_t k_chunk = 16;
+    std::size_t derived = 0;
     for (;;) {
         const std::size_t begin = next.fetch_add(k_chunk, std::memory_order_relaxed);
-        if (begin >= jobs.size()) return;
+        if (begin >= jobs.size()) {
+            evaluated.fetch_add(derived, std::memory_order_relaxed);
+            return;
+        }
         if (options.cancel != nullptr && options.cancel->expired()) {
             throw job_timeout("ee.search", options.context, begin);
         }
@@ -42,8 +48,7 @@ void search_worker(const pl::pl_netlist& pl, const std::vector<search_job>& jobs
         const std::size_t end = std::min(begin + k_chunk, jobs.size());
         for (std::size_t i = begin; i < end; ++i) {
             best[i] = find_best_trigger(pl.gate(jobs[i].master).function,
-                                        jobs[i].pin_arrivals, search)
-                          .best;
+                                        jobs[i].pin_arrivals, search, &derived);
         }
     }
 }
@@ -86,20 +91,21 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
     // the pool and then propagate to the caller, exactly as the sequential
     // pass would have propagated it.
     std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> evaluated{0};
     std::vector<std::exception_ptr> errors(threads);
     std::vector<std::thread> pool;
     pool.reserve(threads - 1);
     for (unsigned t = 1; t < threads; ++t) {
         pool.emplace_back([&, t] {
             try {
-                search_worker(pl, jobs, options, next, best);
+                search_worker(pl, jobs, options, next, best, evaluated);
             } catch (...) {
                 errors[t] = std::current_exception();
             }
         });
     }
     try {
-        search_worker(pl, jobs, options, next, best);
+        search_worker(pl, jobs, options, next, best, evaluated);
     } catch (...) {
         errors[0] = std::current_exception();
     }
@@ -107,6 +113,7 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
     for (const std::exception_ptr& e : errors) {
         if (e) std::rethrow_exception(e);
     }
+    stats.supports_evaluated = evaluated.load(std::memory_order_relaxed);
 
     // Phase 2 — mutate, serial and in gate order: identical output to the
     // original sequential pass regardless of the thread count above.
@@ -121,9 +128,12 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
     // Process-wide pass accounting; one flush per transform, not per gate.
     static obs::counter& masters =
         obs::registry::global().get_counter("ee.masters_considered");
+    static obs::counter& supports =
+        obs::registry::global().get_counter("ee.supports_evaluated");
     static obs::counter& triggers =
         obs::registry::global().get_counter("ee.triggers_added");
     masters.add(stats.masters_considered);
+    supports.add(stats.supports_evaluated);
     triggers.add(stats.triggers_added);
     return stats;
 }

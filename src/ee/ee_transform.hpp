@@ -3,7 +3,9 @@
 // "EE circuitry was added to all PL gates where a speedup was possible"
 // (Section 4): for every compute gate, run the trigger search weighted by the
 // gate's input arrival depths; when an implementable candidate exists, attach
-// a trigger gate (the paper's master/trigger EE pair, Figure 2).  The added
+// a trigger gate (the paper's master/trigger EE pair, Figure 2).  The search
+// (`find_best_trigger`) is a branch-and-bound that derives only the support
+// sets that can still win; `ee_stats::supports_evaluated` counts them.  The added
 // edges form single-token cycles by construction, so liveness and safety are
 // preserved; the postcondition is tested against marked_graph::verify().
 //
@@ -56,6 +58,10 @@ struct applied_trigger {
 
 struct ee_stats {
     std::size_t masters_considered = 0;
+    /// Support sets whose trigger the search actually derived, summed over
+    /// the masters; the branch-and-bound skips the rest (see
+    /// `find_best_trigger`).  Independent of the thread count.
+    std::size_t supports_evaluated = 0;
     std::size_t triggers_added = 0;
     std::vector<applied_trigger> applied;
 };

@@ -231,82 +231,113 @@ double equation1_cost(double coverage_percent, int master_max_arrival,
            (static_cast<double>(trigger_max_arrival) + 1.0);
 }
 
-search_result find_best_trigger(const bf::truth_table& master,
-                                const std::vector<int>& pin_arrivals,
-                                const search_options& options) {
-    if (static_cast<int>(pin_arrivals.size()) != master.num_vars()) {
-        throw std::invalid_argument("find_best_trigger: arrival count != arity");
+namespace {
+
+int max_arrival(const std::vector<int>& pin_arrivals, std::uint32_t pins) {
+    int worst = 0;
+    for (; pins != 0; pins &= pins - 1) {
+        worst = std::max(worst, pin_arrivals[static_cast<std::size_t>(std::countr_zero(pins))]);
     }
-    search_result result;
-    if (master.num_vars() < 2 || master.is_constant()) return result;
+    return worst;
+}
+
+void check_arrivals(const bf::truth_table& master, const std::vector<int>& pin_arrivals,
+                    const char* who) {
+    if (static_cast<int>(pin_arrivals.size()) != master.num_vars()) {
+        throw std::invalid_argument(std::string(who) + ": arrival count != arity");
+    }
+}
+
+}  // namespace
+
+std::optional<trigger_candidate> evaluate_support(const bf::truth_table& master,
+                                                  const std::vector<int>& pin_arrivals,
+                                                  std::uint32_t support,
+                                                  const search_options& options,
+                                                  const bf::on_off_cover* cover) {
+    check_arrivals(master, pin_arrivals, "evaluate_support");
+    std::optional<bf::on_off_cover> own_cover;
+    if (options.method == trigger_method::cube_list && cover == nullptr) {
+        own_cover = bf::make_on_off_cover(master);
+        cover = &*own_cover;
+    }
+
+    trigger_candidate cand;
+    cand.support = support;
+    if (options.method == trigger_method::exact) {
+        cand.function = options.use_scalar_kernels
+                            ? scalar::exact_trigger_function(master, support)
+                            : exact_trigger_function(master, support);
+    } else {
+        cand.function = options.use_scalar_kernels
+                            ? scalar::cube_list_trigger_function(master, *cover, support)
+                            : cube_list_trigger_function(master, *cover, support);
+    }
+    if (cand.function.is_constant_zero()) return std::nullopt;
+
+    cand.covered_minterms = options.use_scalar_kernels
+                                ? scalar::covered_minterms(master, support, cand.function)
+                                : covered_minterms(master, support, cand.function);
+    if (cand.covered_minterms == static_cast<int>(master.num_minterms())) {
+        return std::nullopt;
+    }
+    cand.coverage_percent =
+        100.0 * cand.covered_minterms / static_cast<double>(master.num_minterms());
+    cand.master_max_arrival = max_arrival(pin_arrivals, (1u << master.num_vars()) - 1);
+    cand.trigger_max_arrival = max_arrival(pin_arrivals, support);
+    cand.cost = options.weight_by_arrival
+                    ? equation1_cost(cand.coverage_percent, cand.master_max_arrival,
+                                     cand.trigger_max_arrival)
+                    : cand.coverage_percent;
+    return cand;
+}
+
+std::optional<trigger_candidate> find_best_trigger(const bf::truth_table& master,
+                                                   const std::vector<int>& pin_arrivals,
+                                                   const search_options& options,
+                                                   std::size_t* supports_evaluated) {
+    check_arrivals(master, pin_arrivals, "find_best_trigger");
+    std::optional<trigger_candidate> best;
+    if (master.num_vars() < 2 || master.is_constant()) return best;
 
     const std::uint32_t all_pins = (1u << master.num_vars()) - 1;
-    int master_max_arrival = 0;
-    for (int a : pin_arrivals) master_max_arrival = std::max(master_max_arrival, a);
+    const int master_max_arrival = max_arrival(pin_arrivals, all_pins);
 
-    // The cube covers are shared across all 14 support sets.
+    // The cube covers are shared by every support set, and built only once
+    // some support survives the bound.
     std::optional<bf::on_off_cover> cover;
-    if (options.method == trigger_method::cube_list) {
-        cover = bf::make_on_off_cover(master);
-    }
-
-    const std::vector<std::uint32_t>& supports =
-        bf::cached_support_subsets(all_pins, options.max_support_size);
-    result.all.reserve(supports.size());
-    for (std::uint32_t support : supports) {
-        trigger_candidate cand;
-        cand.support = support;
-        if (options.method == trigger_method::exact) {
-            cand.function = options.use_scalar_kernels
-                                ? scalar::exact_trigger_function(master, support)
-                                : exact_trigger_function(master, support);
-        } else {
-            cand.function = options.use_scalar_kernels
-                                ? scalar::cube_list_trigger_function(master, *cover,
-                                                                     support)
-                                : cube_list_trigger_function(master, *cover, support);
+    std::size_t evaluated = 0;
+    for (std::uint32_t support :
+         bf::cached_support_subsets(all_pins, options.max_support_size)) {
+        const int trigger_max_arrival = max_arrival(pin_arrivals, support);
+        if (options.require_arrival_gain && trigger_max_arrival >= master_max_arrival) {
+            continue;  // the trigger could not fire any earlier than the master
         }
-        if (cand.function.is_constant_zero()) continue;
-
-        cand.covered_minterms =
-            options.use_scalar_kernels
-                ? scalar::covered_minterms(master, support, cand.function)
-                : covered_minterms(master, support, cand.function);
-        cand.coverage_percent =
-            100.0 * cand.covered_minterms / static_cast<double>(master.num_minterms());
-        // Full coverage means the master never needed the other inputs at
-        // all — a synthesis artifact, not an Early Evaluation opportunity.
-        if (cand.covered_minterms == static_cast<int>(master.num_minterms())) continue;
-
-        cand.master_max_arrival = master_max_arrival;
-        cand.trigger_max_arrival = 0;
-        for (std::uint32_t rest = support; rest != 0; rest &= rest - 1) {
-            const int v = std::countr_zero(rest);
-            cand.trigger_max_arrival =
-                std::max(cand.trigger_max_arrival, pin_arrivals[static_cast<std::size_t>(v)]);
+        if (best) {
+            const double bound =
+                options.weight_by_arrival
+                    ? equation1_cost(100.0, master_max_arrival, trigger_max_arrival)
+                    : 100.0;
+            if (bound < best->cost) continue;  // exact: see the header
         }
-        cand.cost = options.weight_by_arrival
-                        ? equation1_cost(cand.coverage_percent,
-                                         cand.master_max_arrival,
-                                         cand.trigger_max_arrival)
-                        : cand.coverage_percent;
-        result.all.push_back(cand);
-
-        if (options.require_arrival_gain &&
-            cand.trigger_max_arrival >= cand.master_max_arrival) {
-            continue;  // recorded for diagnostics, never implemented
+        if (options.method == trigger_method::cube_list && !cover) {
+            cover = bf::make_on_off_cover(master);
         }
-        if (cand.cost <= options.cost_threshold) continue;
+        ++evaluated;
+        const std::optional<trigger_candidate> cand = evaluate_support(
+            master, pin_arrivals, support, options, cover ? &*cover : nullptr);
+        if (!cand || cand->cost <= options.cost_threshold) continue;
 
         const bool better =
-            !result.best || cand.cost > result.best->cost ||
-            (cand.cost == result.best->cost &&
-             (cand.covered_minterms > result.best->covered_minterms ||
-              (cand.covered_minterms == result.best->covered_minterms &&
-               std::popcount(cand.support) < std::popcount(result.best->support))));
-        if (better) result.best = cand;
+            !best || cand->cost > best->cost ||
+            (cand->cost == best->cost &&
+             (cand->covered_minterms > best->covered_minterms ||
+              (cand->covered_minterms == best->covered_minterms &&
+               std::popcount(cand->support) < std::popcount(best->support))));
+        if (better) best = cand;
     }
-    return result;
+    if (supports_evaluated != nullptr) *supports_evaluated += evaluated;
+    return best;
 }
 
 }  // namespace plee::ee

@@ -28,6 +28,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -113,20 +114,48 @@ struct search_options {
     bool use_scalar_kernels = false;
 };
 
-struct search_result {
-    std::optional<trigger_candidate> best;
-    /// Every evaluated candidate (14 for a 4-input master), for diagnostics,
-    /// the Table 1/2 reproduction and the ablation benches.
-    std::vector<trigger_candidate> all;
-};
+/// Derives and scores the trigger for one support set, with the method and
+/// kernels `options` selects and without the selection filters
+/// (`require_arrival_gain`, `cost_threshold`, the best pick).  Returns nullopt when the support
+/// yields no candidate at all: a constant-0 trigger, or full coverage (the
+/// master never needed the other inputs — a synthesis artifact, not an
+/// Early Evaluation opportunity).  For diagnostics, the Table 1/2
+/// reproduction and tests that inspect every support; `find_best_trigger`
+/// derives and scores each support it does not skip through this call.
+/// `cover` is read only under `trigger_method::cube_list`: the master's
+/// ON/OFF cover, for callers that evaluate many supports of one master;
+/// null builds it here.
+std::optional<trigger_candidate> evaluate_support(const bf::truth_table& master,
+                                                  const std::vector<int>& pin_arrivals,
+                                                  std::uint32_t support,
+                                                  const search_options& options = {},
+                                                  const bf::on_off_cover* cover = nullptr);
 
-/// Evaluates every support subset of the master's inputs and returns the
-/// best implementable candidate (if any) under `options`.  `pin_arrivals`
-/// holds the arrival depth of each master input signal, pin-ordered.
-/// Every trigger is derived afresh: the exact kernel costs about a
-/// microsecond per master, less than any memo lookup in front of it would.
-search_result find_best_trigger(const bf::truth_table& master,
-                                const std::vector<int>& pin_arrivals,
-                                const search_options& options = {});
+/// The best implementable candidate over every support subset of at most
+/// `max_support_size` master inputs, or nullopt.  `pin_arrivals` holds the
+/// arrival depth of each master input signal, pin-ordered.
+///
+/// Selection rule: a candidate is implementable when its cost exceeds
+/// `cost_threshold` and, under `require_arrival_gain`, Tmax < Mmax.  The
+/// best has the highest cost; ties go to more covered minterms, then to the
+/// smaller support, then to the earlier support in
+/// `bf::cached_support_subsets` order.
+///
+/// The search is a branch-and-bound.  Tmax comes from `pin_arrivals` before
+/// any kernel runs, and a support is skipped without deriving its trigger
+/// when `require_arrival_gain` rules it out, or when its upper bound
+/// `equation1_cost(100, Mmax, Tmax)` (100 without `weight_by_arrival`) is
+/// strictly below the running best's cost.  The skip is exact: an
+/// implementable candidate covers under 100% (full coverage is rejected),
+/// IEEE multiply and divide are monotone, so its cost is at most the bound
+/// and it could neither beat nor tie the running best.  The result is the
+/// one an unpruned argmax over `evaluate_support` gives.
+///
+/// `supports_evaluated`, when non-null, is increased by the number of
+/// supports whose trigger was actually derived.
+std::optional<trigger_candidate> find_best_trigger(const bf::truth_table& master,
+                                                   const std::vector<int>& pin_arrivals,
+                                                   const search_options& options = {},
+                                                   std::size_t* supports_evaluated = nullptr);
 
 }  // namespace plee::ee

@@ -12,6 +12,8 @@
 #include <string>
 
 #include "bench_circuits/itc99.hpp"
+#include "bool/support.hpp"
+#include "obs/registry.hpp"
 #include "plogic/pl_mapper.hpp"
 #include "synth/rtl.hpp"
 #include "workload/workload.hpp"
@@ -181,6 +183,8 @@ TEST(EeTransform, ParallelPassIsBitIdenticalToSequential) {
 
             EXPECT_EQ(par_stats.masters_considered, seq_stats.masters_considered)
                 << id << " threads=" << threads;
+            EXPECT_EQ(par_stats.supports_evaluated, seq_stats.supports_evaluated)
+                << id << " threads=" << threads;
             ASSERT_EQ(par_stats.triggers_added, seq_stats.triggers_added)
                 << id << " threads=" << threads;
             for (std::size_t i = 0; i < seq_stats.applied.size(); ++i) {
@@ -236,6 +240,7 @@ TEST(EeTransform, WideMasterParallelPassIsDeterministicAndOracleExact) {
             const ee_stats par_stats = apply_early_evaluation(par.pl, par_opts);
 
             ASSERT_EQ(par_stats.applied.size(), seq_stats.applied.size()) << label;
+            EXPECT_EQ(par_stats.supports_evaluated, seq_stats.supports_evaluated) << label;
             int widest = 0;
             for (std::size_t i = 0; i < seq_stats.applied.size(); ++i) {
                 const applied_trigger& s = seq_stats.applied[i];
@@ -254,6 +259,45 @@ TEST(EeTransform, WideMasterParallelPassIsDeterministicAndOracleExact) {
             EXPECT_GT(widest, 4) << label;
             expect_identical_netlists(par.pl, seq.pl);
         }
+    }
+}
+
+TEST(EeTransform, SupportsEvaluatedCountIsPinned) {
+    // The branch-and-bound derives only the supports that can still win:
+    // 252 of 5,477 on the LUT8 netlist and 638 of 1,474 on b05.  The count
+    // is a pure function of the netlist, so it is pinned exactly (a change
+    // to the bound or the support order moves it) and checked against the
+    // registry counter.
+    struct pinned {
+        std::string label;
+        nl::netlist netlist;
+        std::size_t supports_evaluated;
+    };
+    const std::vector<pinned> cases = {
+        {"lut8-datapath seed=3",
+         wl::generate(wl::scenario_params(wl::scenario::lut8_datapath, 120, 3)),
+         252},
+        {"b05", bench::build_benchmark("b05"), 638},
+    };
+    obs::counter& counter =
+        obs::registry::global().get_counter("ee.supports_evaluated");
+    for (const pinned& c : cases) {
+        pl::map_result mapped = pl::map_to_phased_logic(c.netlist);
+        std::size_t unpruned = 0;
+        for (pl::gate_id g = 0; g < mapped.pl.num_gates(); ++g) {
+            const pl::pl_gate& gate = mapped.pl.gate(g);
+            if (gate.kind != pl::gate_kind::compute || gate.data_in.size() < 2) continue;
+            unpruned += bf::cached_support_subsets(
+                            (1u << gate.function.num_vars()) - 1, 3)
+                            .size();
+        }
+        const std::uint64_t before = counter.value();
+        ee_options opts;
+        opts.num_threads = 2;
+        const ee_stats stats = apply_early_evaluation(mapped.pl, opts);
+        EXPECT_EQ(stats.supports_evaluated, c.supports_evaluated) << c.label;
+        EXPECT_EQ(counter.value() - before, stats.supports_evaluated) << c.label;
+        EXPECT_LT(stats.supports_evaluated, unpruned) << c.label;
     }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <optional>
 #include <vector>
 
 #include "bool/cube_list.hpp"
@@ -341,19 +342,26 @@ TEST(MultiwordTrigger, FullSearchMatchesScalarKernelsOnWideMasters) {
             for (int v = 0; v < n; ++v) {
                 arrivals.push_back(static_cast<int>(rng.next() % 5));
             }
-            const search_result w = find_best_trigger(master, arrivals, word_opts);
-            const search_result s = find_best_trigger(master, arrivals, scalar_opts);
-            ASSERT_EQ(w.all.size(), s.all.size()) << "n=" << n;
-            for (std::size_t i = 0; i < w.all.size(); ++i) {
-                ASSERT_EQ(w.all[i].support, s.all[i].support);
-                ASSERT_EQ(w.all[i].function, s.all[i].function);
-                ASSERT_EQ(w.all[i].covered_minterms, s.all[i].covered_minterms);
-                ASSERT_EQ(w.all[i].cost, s.all[i].cost);
+            for (std::uint32_t sup : bf::cached_support_subsets((1u << n) - 1, 3)) {
+                const std::optional<trigger_candidate> w =
+                    evaluate_support(master, arrivals, sup, word_opts);
+                const std::optional<trigger_candidate> s =
+                    evaluate_support(master, arrivals, sup, scalar_opts);
+                ASSERT_EQ(w.has_value(), s.has_value()) << "n=" << n << " support=" << sup;
+                if (!w) continue;
+                ASSERT_EQ(w->support, s->support);
+                ASSERT_EQ(w->function, s->function);
+                ASSERT_EQ(w->covered_minterms, s->covered_minterms);
+                ASSERT_EQ(w->cost, s->cost);
             }
-            ASSERT_EQ(w.best.has_value(), s.best.has_value());
-            if (w.best) {
-                ASSERT_EQ(w.best->support, s.best->support);
-                ASSERT_EQ(w.best->function, s.best->function);
+            const std::optional<trigger_candidate> w =
+                find_best_trigger(master, arrivals, word_opts);
+            const std::optional<trigger_candidate> s =
+                find_best_trigger(master, arrivals, scalar_opts);
+            ASSERT_EQ(w.has_value(), s.has_value());
+            if (w) {
+                ASSERT_EQ(w->support, s->support);
+                ASSERT_EQ(w->function, s->function);
             }
         }
     }

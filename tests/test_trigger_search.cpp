@@ -8,8 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "bool/splitmix64.hpp"
 #include "bool/support.hpp"
+#include "bool/truth_table.hpp"
+#include "plogic/pl_mapper.hpp"
+#include "workload/workload.hpp"
 
 namespace plee::ee {
 namespace {
@@ -84,10 +91,11 @@ TEST(TriggerSearch, XorHasNoTrigger) {
     const bf::truth_table master = bf::truth_table::variable(3, 0) ^
                                    bf::truth_table::variable(3, 1) ^
                                    bf::truth_table::variable(3, 2);
-    const search_result r = find_best_trigger(master, {0, 0, 0});
-    EXPECT_FALSE(r.best.has_value());
-    for (const trigger_candidate& c : r.all) {
-        EXPECT_EQ(c.covered_minterms, 0);
+    EXPECT_FALSE(find_best_trigger(master, {0, 0, 0}).has_value());
+    for (std::uint32_t s : bf::cached_support_subsets(0b111, 3)) {
+        const std::optional<trigger_candidate> c =
+            evaluate_support(master, {0, 0, 0}, s);
+        if (c) EXPECT_EQ(c->covered_minterms, 0);
     }
 }
 
@@ -96,9 +104,13 @@ TEST(TriggerSearch, FourteenSupportSetsEvaluatedForLut4) {
     // support sets yield a candidate (any 1 in the subset forces output 1).
     const bf::truth_table master = bf::truth_table::from_function(
         4, [](std::uint32_t m) { return m != 0; });
-    const search_result r = find_best_trigger(master, {3, 2, 1, 0});
-    EXPECT_EQ(r.all.size(), 14u);
-    ASSERT_TRUE(r.best.has_value());
+    const std::vector<int> arrivals = {3, 2, 1, 0};
+    std::size_t candidates = 0;
+    for (std::uint32_t s : bf::cached_support_subsets(0xf, 3)) {
+        if (evaluate_support(master, arrivals, s)) ++candidates;
+    }
+    EXPECT_EQ(candidates, 14u);
+    ASSERT_TRUE(find_best_trigger(master, arrivals).has_value());
 }
 
 TEST(TriggerSearch, EquationOneArrivalWeighting) {
@@ -107,30 +119,30 @@ TEST(TriggerSearch, EquationOneArrivalWeighting) {
     // signals and thus not be as effective".
     const bf::truth_table master = carry_master();
     // Arrivals: a fast (depth 0), b fast (0), c slow (5).
-    const search_result r = find_best_trigger(master, {0, 0, 5});
-    ASSERT_TRUE(r.best.has_value());
-    EXPECT_EQ(r.best->support, 0b011u);  // {a, b}: avoids the slow carry-in
-    EXPECT_EQ(r.best->master_max_arrival, 5);
-    EXPECT_EQ(r.best->trigger_max_arrival, 0);
+    const std::optional<trigger_candidate> r = find_best_trigger(master, {0, 0, 5});
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->support, 0b011u);  // {a, b}: avoids the slow carry-in
+    EXPECT_EQ(r->master_max_arrival, 5);
+    EXPECT_EQ(r->trigger_max_arrival, 0);
 }
 
 TEST(TriggerSearch, RequireArrivalGainFiltersSlowTriggers) {
     // All inputs arrive simultaneously: no support subset can be faster, so
     // nothing is implementable under the default policy.
-    const search_result r = find_best_trigger(carry_master(), {2, 2, 2});
-    EXPECT_FALSE(r.best.has_value());
+    const std::optional<trigger_candidate> r = find_best_trigger(carry_master(), {2, 2, 2});
+    EXPECT_FALSE(r.has_value());
 
     search_options relaxed;
     relaxed.require_arrival_gain = false;
-    const search_result r2 = find_best_trigger(carry_master(), {2, 2, 2}, relaxed);
-    EXPECT_TRUE(r2.best.has_value());
+    const std::optional<trigger_candidate> r2 = find_best_trigger(carry_master(), {2, 2, 2}, relaxed);
+    EXPECT_TRUE(r2.has_value());
 }
 
 TEST(TriggerSearch, CostThresholdFilters) {
     search_options opts;
     opts.cost_threshold = 1e9;  // nothing can clear this bar
-    const search_result r = find_best_trigger(carry_master(), {0, 0, 5}, opts);
-    EXPECT_FALSE(r.best.has_value());
+    const std::optional<trigger_candidate> r = find_best_trigger(carry_master(), {0, 0, 5}, opts);
+    EXPECT_FALSE(r.has_value());
 }
 
 TEST(TriggerSearch, Equation1CostFormula) {
@@ -145,8 +157,8 @@ TEST(TriggerSearch, FullCoverageCandidatesAreRejected) {
     // master = x0 (expressed over 2 vars): support {x0} determines the
     // output for every assignment — a vacuous-input artifact, not EE.
     const bf::truth_table master = bf::truth_table::variable(2, 0);
-    const search_result r = find_best_trigger(master, {0, 5});
-    EXPECT_FALSE(r.best.has_value());
+    const std::optional<trigger_candidate> r = find_best_trigger(master, {0, 5});
+    EXPECT_FALSE(r.has_value());
 }
 
 TEST(TriggerSearch, CubeListCoverageNeverExceedsExact) {
@@ -168,6 +180,200 @@ TEST(TriggerSearch, CubeListCoverageNeverExceedsExact) {
             EXPECT_TRUE((cubes & ~exact).is_constant_zero());
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the branch-and-bound against an unpruned oracle.
+// ---------------------------------------------------------------------------
+
+/// Every candidate of the master, one `evaluate_support` call per support.
+std::vector<trigger_candidate> every_candidate(const bf::truth_table& master,
+                                               const std::vector<int>& arrivals,
+                                               const search_options& opts,
+                                               const bf::on_off_cover* cover) {
+    std::vector<trigger_candidate> all;
+    const std::uint32_t pins = (1u << master.num_vars()) - 1;
+    for (std::uint32_t s : bf::cached_support_subsets(pins, opts.max_support_size)) {
+        if (std::optional<trigger_candidate> c =
+                evaluate_support(master, arrivals, s, opts, cover)) {
+            all.push_back(*c);
+        }
+    }
+    return all;
+}
+
+/// The oracle: a plain argmax over every candidate with the selection
+/// filters and tie-break `find_best_trigger` documents, and no skipping.
+std::optional<trigger_candidate> oracle_best(const std::vector<trigger_candidate>& all,
+                                             const search_options& opts) {
+    std::optional<trigger_candidate> best;
+    for (const trigger_candidate& c : all) {
+        if (opts.require_arrival_gain && c.trigger_max_arrival >= c.master_max_arrival) {
+            continue;
+        }
+        if (c.cost <= opts.cost_threshold) continue;
+        if (!best || c.cost > best->cost ||
+            (c.cost == best->cost &&
+             (c.covered_minterms > best->covered_minterms ||
+              (c.covered_minterms == best->covered_minterms &&
+               std::popcount(c.support) < std::popcount(best->support))))) {
+            best = c;
+        }
+    }
+    return best;
+}
+
+struct oracle_tally {
+    std::size_t searches = 0;
+    std::size_t bests = 0;
+    std::size_t derived = 0;   ///< supports the branch-and-bound derived
+    std::size_t supports = 0;  ///< supports an unpruned search derives
+};
+
+/// Checks `find_best_trigger` against the oracle for one master, arrival
+/// vector, method and kernel family, under every combination of
+/// `weight_by_arrival`, `require_arrival_gain` and `cost_threshold` 0/150.
+void expect_matches_oracle(const bf::truth_table& master, const std::vector<int>& arrivals,
+                           trigger_method method, bool scalar_kernels,
+                           const bf::on_off_cover* cover, const std::string& where,
+                           oracle_tally& tally) {
+    for (const bool weight : {true, false}) {
+        search_options base;
+        base.method = method;
+        base.use_scalar_kernels = scalar_kernels;
+        base.weight_by_arrival = weight;
+        const std::vector<trigger_candidate> all =
+            every_candidate(master, arrivals, base, cover);
+        const std::size_t supports =
+            bf::cached_support_subsets((1u << master.num_vars()) - 1,
+                                       base.max_support_size)
+                .size();
+        for (const bool gain : {true, false}) {
+            for (const double threshold : {0.0, 150.0}) {
+                search_options opts = base;
+                opts.require_arrival_gain = gain;
+                opts.cost_threshold = threshold;
+                const std::optional<trigger_candidate> want = oracle_best(all, opts);
+                const std::optional<trigger_candidate> got =
+                    find_best_trigger(master, arrivals, opts, &tally.derived);
+                ++tally.searches;
+                tally.supports += supports;
+                const auto context = [&] {
+                    return where + " method=" + std::to_string(static_cast<int>(method)) +
+                           " scalar=" + std::to_string(scalar_kernels) +
+                           " weight=" + std::to_string(weight) +
+                           " gain=" + std::to_string(gain) +
+                           " threshold=" + std::to_string(threshold);
+                };
+                ASSERT_EQ(got.has_value(), want.has_value()) << context();
+                if (!want) continue;
+                ++tally.bests;
+                ASSERT_EQ(got->support, want->support) << context();
+                ASSERT_EQ(got->function, want->function) << context();
+                ASSERT_EQ(got->covered_minterms, want->covered_minterms) << context();
+                ASSERT_EQ(got->coverage_percent, want->coverage_percent) << context();
+                ASSERT_EQ(got->master_max_arrival, want->master_max_arrival) << context();
+                ASSERT_EQ(got->trigger_max_arrival, want->trigger_max_arrival)
+                    << context();
+                ASSERT_EQ(got->cost, want->cost) << context();
+            }
+        }
+    }
+}
+
+TEST(TriggerSearch, PrunedSelectionMatchesExhaustiveOracle) {
+    oracle_tally tally;
+
+    // Every LUT4 master under arrival vectors with ties.  The exact word
+    // kernels run on all 2^16 masters; the cube-list method and the scalar
+    // kernels, whose searches cost far more, on fixed strides of them.
+    const std::vector<std::vector<int>> lut4_arrivals = {
+        {0, 0, 0, 0}, {3, 1, 2, 0}, {0, 0, 5, 5}, {1, 1, 1, 0}};
+    for (std::uint32_t f = 0; f <= 0xffffu; ++f) {
+        const bf::truth_table master(4, f);
+        const bool cube = f % 16 == 7;
+        const bool scalar = f % 64 == 13;
+        std::optional<bf::on_off_cover> cover;
+        if (cube) cover = bf::make_on_off_cover(master);
+        for (const std::vector<int>& arrivals : lut4_arrivals) {
+            const std::string where = "lut4 master=" + std::to_string(f);
+            expect_matches_oracle(master, arrivals, trigger_method::exact, false, nullptr,
+                                  where, tally);
+            if (cube) {
+                expect_matches_oracle(master, arrivals, trigger_method::cube_list, false,
+                                      &*cover, where, tally);
+            }
+            if (scalar) {
+                expect_matches_oracle(master, arrivals, trigger_method::exact, true,
+                                      nullptr, where, tally);
+                if (cube) {
+                    expect_matches_oracle(master, arrivals, trigger_method::cube_list,
+                                          true, &*cover, where, tally);
+                }
+            }
+            if (HasFatalFailure()) return;
+        }
+    }
+
+    // Random LUT5-LUT8 masters, arrivals drawn from 0-4 (ties are common)
+    // plus the all-equal vector.
+    std::uint64_t draw = 2020;
+    for (int n = 5; n <= 8; ++n) {
+        for (int trial = 0; trial < 120; ++trial) {
+            bf::tt_words words{};
+            for (int w = 0; w < bf::words_for(n); ++w) words[w] = bf::splitmix64(draw++);
+            if (n == 5) words[0] &= 0xffffffffull;
+            const bf::truth_table master(n, words);
+            std::vector<int> arrivals(static_cast<std::size_t>(n));
+            for (int& a : arrivals) a = static_cast<int>(bf::splitmix64(draw++) % 5);
+            const std::string where =
+                "lut" + std::to_string(n) + " trial=" + std::to_string(trial);
+            for (const std::vector<int>& arr :
+                 {arrivals, std::vector<int>(static_cast<std::size_t>(n), 2)}) {
+                expect_matches_oracle(master, arr, trigger_method::exact, false, nullptr,
+                                      where, tally);
+                if (trial % 8 == 0) {
+                    expect_matches_oracle(master, arr, trigger_method::exact, true,
+                                          nullptr, where, tally);
+                }
+                if (n <= 6 && trial % 4 == 0) {
+                    const bf::on_off_cover cover = bf::make_on_off_cover(master);
+                    expect_matches_oracle(master, arr, trigger_method::cube_list, false,
+                                          &cover, where, tally);
+                }
+                if (HasFatalFailure()) return;
+            }
+        }
+    }
+
+    // The masters of mapped wide-LUT netlists, under their real arrivals.
+    for (const wl::scenario kind : {wl::scenario::lut6_dag, wl::scenario::lut8_datapath}) {
+        const pl::map_result mapped =
+            pl::map_to_phased_logic(wl::generate(wl::scenario_params(kind, 150, 5)));
+        const std::vector<int> depth = mapped.pl.arrival_depth();
+        for (pl::gate_id g = 0; g < mapped.pl.num_gates(); ++g) {
+            const pl::pl_gate& gate = mapped.pl.gate(g);
+            if (gate.kind != pl::gate_kind::compute || gate.data_in.size() < 2) continue;
+            std::vector<int> arrivals;
+            for (pl::edge_id e : gate.data_in) {
+                arrivals.push_back(depth[mapped.pl.edge(e).from]);
+            }
+            const std::string where =
+                std::string(wl::to_string(kind)) + " gate=" + std::to_string(g);
+            expect_matches_oracle(gate.function, arrivals, trigger_method::exact, false,
+                                  nullptr, where, tally);
+            if (gate.function.num_vars() <= 6) {
+                const bf::on_off_cover cover = bf::make_on_off_cover(gate.function);
+                expect_matches_oracle(gate.function, arrivals, trigger_method::cube_list,
+                                      false, &cover, where, tally);
+            }
+            if (HasFatalFailure()) return;
+        }
+    }
+
+    // The sweep found winners, and the bound really skipped supports.
+    EXPECT_GT(tally.bests, tally.searches / 4);
+    EXPECT_LT(tally.derived, tally.supports);
 }
 
 // Property: a trigger firing on an assignment really determines the master.

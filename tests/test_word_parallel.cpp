@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <optional>
+#include <vector>
 
 #include "bool/cube_list.hpp"
 #include "bool/support.hpp"
@@ -52,7 +54,7 @@ TEST(WordParallel, CubeListTriggerMatchesScalarOnAllLut4Masters) {
 }
 
 TEST(WordParallel, FullSearchMatchesScalarKernels) {
-    // The whole driver — candidate list, coverage, Equation 1, best pick —
+    // Every support's candidate (coverage, Equation 1) and the best pick
     // must agree between kernel families on a large random master stream.
     std::uint64_t state = 2026;
     search_options word_opts;
@@ -63,19 +65,26 @@ TEST(WordParallel, FullSearchMatchesScalarKernels) {
         const bf::truth_table master(4, state & 0xffff);
         if (master.support_size() < 2) continue;
         const std::vector<int> arrivals = {3, 1, 2, 0};
-        const search_result w = find_best_trigger(master, arrivals, word_opts);
-        const search_result s = find_best_trigger(master, arrivals, scalar_opts);
-        ASSERT_EQ(w.all.size(), s.all.size());
-        for (std::size_t i = 0; i < w.all.size(); ++i) {
-            ASSERT_EQ(w.all[i].support, s.all[i].support);
-            ASSERT_EQ(w.all[i].function, s.all[i].function);
-            ASSERT_EQ(w.all[i].covered_minterms, s.all[i].covered_minterms);
-            ASSERT_EQ(w.all[i].cost, s.all[i].cost);
+        for (std::uint32_t sup : bf::cached_support_subsets(0xf, 3)) {
+            const std::optional<trigger_candidate> w =
+                evaluate_support(master, arrivals, sup, word_opts);
+            const std::optional<trigger_candidate> s =
+                evaluate_support(master, arrivals, sup, scalar_opts);
+            ASSERT_EQ(w.has_value(), s.has_value()) << "support=" << sup;
+            if (!w) continue;
+            ASSERT_EQ(w->support, s->support);
+            ASSERT_EQ(w->function, s->function);
+            ASSERT_EQ(w->covered_minterms, s->covered_minterms);
+            ASSERT_EQ(w->cost, s->cost);
         }
-        ASSERT_EQ(w.best.has_value(), s.best.has_value());
-        if (w.best) {
-            ASSERT_EQ(w.best->support, s.best->support);
-            ASSERT_EQ(w.best->function, s.best->function);
+        const std::optional<trigger_candidate> w =
+            find_best_trigger(master, arrivals, word_opts);
+        const std::optional<trigger_candidate> s =
+            find_best_trigger(master, arrivals, scalar_opts);
+        ASSERT_EQ(w.has_value(), s.has_value());
+        if (w) {
+            ASSERT_EQ(w->support, s->support);
+            ASSERT_EQ(w->function, s->function);
         }
     }
 }
