@@ -184,6 +184,7 @@ int main(int argc, char** argv) {
             root.set("schema_version",
                      report::json::number(runner::k_fleet_schema_version));
             root.set("bench", report::json::str("fleet_scaling"));
+            root.set("environment", report::environment_stamp());
             root.set("circuits", report::json::number(circuits));
             root.set("gates", report::json::number(gates));
             root.set("scenario", report::json::str(scenario_name));

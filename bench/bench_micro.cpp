@@ -1,14 +1,15 @@
 // bench_micro — google-benchmark microbenchmarks for the algorithmic
 // building blocks: trigger search throughput (the 14-support-set sweep the
-// paper calls "practical" thanks to the LUT4 restriction) in both the
-// word-parallel and retained-scalar variants, Quine–McCluskey covering,
-// marked-graph verification, PL mapping, and event-simulation throughput.
+// paper calls "practical" thanks to the LUT4 restriction) for the exact
+// method in both the word-parallel and retained-scalar variants and for the
+// cube-list method, Quine–McCluskey covering, marked-graph verification, PL
+// mapping, the EE pass, and event-simulation throughput.
 //
 // `--json <path>` additionally writes the captured timings — and the
-// word-vs-scalar speedups derived from them — as BENCH_trigger.json, with
-// the host's environment stamp, so the perf trajectory stays
-// machine-readable and a number can be read against the machine it came
-// from.
+// word-vs-scalar speedups derived from them, with a `warnings` list of any
+// speedup below 1 — as BENCH_trigger.json, with the host's environment
+// stamp, so the perf trajectory stays machine-readable and a number can be
+// read against the machine it came from.
 
 #include <benchmark/benchmark.h>
 
@@ -74,20 +75,6 @@ void bm_trigger_search_cube_list(benchmark::State& state) {
 }
 BENCHMARK(bm_trigger_search_cube_list);
 
-void bm_trigger_search_cube_list_scalar(benchmark::State& state) {
-    std::uint64_t seed = 1;
-    ee::search_options opts;
-    opts.method = ee::trigger_method::cube_list;
-    opts.use_scalar_kernels = true;
-    for (auto _ : state) {
-        seed = mix(seed);
-        const bf::truth_table master(4, seed & 0xffff);
-        if (master.support_size() < 2) continue;
-        benchmark::DoNotOptimize(ee::find_best_trigger(master, {0, 1, 2, 3}, opts));
-    }
-}
-BENCHMARK(bm_trigger_search_cube_list_scalar);
-
 void bm_exact_trigger_kernel(benchmark::State& state) {
     // The single-support word kernel in isolation: two conjunctive folds and
     // a shrink per call.
@@ -141,19 +128,6 @@ void bm_exact_trigger_kernel_lut8(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_exact_trigger_kernel_lut8);
-
-void bm_apply_ee_parallel(benchmark::State& state) {
-    const nl::netlist n = bench::build_benchmark("b05");
-    ee::ee_options opts;
-    opts.num_threads = static_cast<unsigned>(state.range(0));
-    for (auto _ : state) {
-        state.PauseTiming();
-        pl::map_result mapped = pl::map_to_phased_logic(n);
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(ee::apply_early_evaluation(mapped.pl, opts));
-    }
-}
-BENCHMARK(bm_apply_ee_parallel)->Arg(1)->Arg(2)->Arg(4);
 
 void bm_isop_cover(benchmark::State& state) {
     std::uint64_t seed = 7;
@@ -248,20 +222,25 @@ void write_json(const json_collector& collected, const std::string& path) {
         benches.push(std::move(b));
     }
 
+    // A word kernel slower than its scalar oracle does not pay for itself:
+    // every `*_speedup_vs_scalar` below 1 is listed under `warnings` and on
+    // stderr.
     report::json derived = report::json::object();
+    report::json warnings = report::json::array();
+    const auto speedup = [&](const std::string& key, const std::string& word_bench) {
+        const double word = collected.real_ns_of(word_bench);
+        const double scalar = collected.real_ns_of(word_bench + "_scalar");
+        if (word <= 0.0 || scalar <= 0.0) return;
+        derived.set(key, report::json::number(scalar / word));
+        if (scalar / word < 1.0) {
+            const std::string warning =
+                key + " = " + std::to_string(scalar / word) + " < 1";
+            std::fprintf(stderr, "bench_micro: warning: %s\n", warning.c_str());
+            warnings.push(report::json::str(warning));
+        }
+    };
+    speedup("exact_search_speedup_vs_scalar", "bm_trigger_search_lut4");
     const double word = collected.real_ns_of("bm_trigger_search_lut4");
-    const double scalar = collected.real_ns_of("bm_trigger_search_lut4_scalar");
-    if (word > 0.0 && scalar > 0.0) {
-        derived.set("exact_search_speedup_vs_scalar",
-                    report::json::number(scalar / word));
-    }
-    const double cword = collected.real_ns_of("bm_trigger_search_cube_list");
-    const double cscalar =
-        collected.real_ns_of("bm_trigger_search_cube_list_scalar");
-    if (cword > 0.0 && cscalar > 0.0) {
-        derived.set("cube_list_search_speedup_vs_scalar",
-                    report::json::number(cscalar / cword));
-    }
 
     // Fast-path regression row for the multiword truth-table refactor: the
     // LUT4 exact sweep at the last single-word commit against the current
@@ -283,6 +262,8 @@ void write_json(const json_collector& collected, const std::string& path) {
                       report::json::number(word / baseline_ns));
         derived.set("multiword_fast_path", std::move(fast_path));
     }
+
+    derived.set("warnings", std::move(warnings));
 
     report::json root = report::json::object();
     root.set("schema_version",

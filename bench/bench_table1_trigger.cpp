@@ -93,7 +93,7 @@ int main() {
         opts.require_arrival_gain = false;  // show every candidate's score
         const std::vector<int> arrivals = {0, 0, 2};
         report::text_table t({"Support", "Trigger", "Coverage", "Mmax", "Tmax", "Cost"});
-        for (std::uint32_t s : bf::cached_support_subsets(0b111, opts.max_support_size)) {
+        for (std::uint32_t s : bf::enumerate_support_subsets(0b111, opts.max_support_size)) {
             const std::optional<ee::trigger_candidate> c =
                 ee::evaluate_support(master, arrivals, s, opts);
             if (!c) continue;

@@ -157,6 +157,7 @@ int main(int argc, char** argv) {
         root.set("schema_version",
                  report::json::number(report::k_bench_schema_version));
         root.set("bench", report::json::str("itc99"));
+        root.set("environment", report::environment_stamp());
         root.set("vectors", report::json::number(vectors));
         root.set("seed", report::json::number(static_cast<std::int64_t>(seed)));
         root.set("rows", std::move(json_rows));

@@ -15,16 +15,10 @@ namespace plee::bf {
 
 /// All non-empty proper subsets of `full_support` (a variable bitmask) with
 /// at most `max_size` members, in deterministic order (by size, then value).
+/// The reference for the order `ee::find_best_trigger` reads from its
+/// compile-time table.
 std::vector<std::uint32_t> enumerate_support_subsets(std::uint32_t full_support,
                                                      int max_size);
-
-/// The same subset list served from a process-wide precomputed table — the
-/// per-gate trigger sweep asks for one of at most 256 x 9 possible lists, so
-/// the netlist-scale pass should not re-enumerate and re-sort per gate.
-/// Requires `full_support` < 256 (the 8-variable space); `max_size` is
-/// clamped to [0, 8].  The reference stays valid for the process lifetime.
-const std::vector<std::uint32_t>& cached_support_subsets(
-    std::uint32_t full_support, int max_size);
 
 /// The variable indices present in a support mask, ascending.
 std::vector<int> support_members(std::uint32_t support);

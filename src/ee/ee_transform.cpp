@@ -1,9 +1,6 @@
 #include "ee/ee_transform.hpp"
 
-#include <atomic>
-#include <exception>
 #include <optional>
-#include <thread>
 
 #include "fault/injector.hpp"
 #include "obs/registry.hpp"
@@ -17,41 +14,6 @@ struct search_job {
     pl::gate_id master = pl::k_invalid_gate;
     std::vector<int> pin_arrivals;
 };
-
-/// Runs the trigger search for jobs [begin, end) pulled in chunks from a
-/// shared counter, writing each best candidate to its own slot — the output
-/// is position-addressed, so any work interleaving yields the same result.
-/// Adds the supports it derived to `evaluated` once, on return.
-void search_worker(const pl::pl_netlist& pl, const std::vector<search_job>& jobs,
-                   const ee_options& options, std::atomic<std::size_t>& next,
-                   std::vector<std::optional<trigger_candidate>>& best,
-                   std::atomic<std::size_t>& evaluated) {
-    const search_options& search = options.search;
-    // Worker threads have no fault scope of their own; adopt the job's so
-    // injected ee.search decisions are per-job deterministic.
-    fault::injector::scope scope(fault::injector::hash(options.context));
-    constexpr std::size_t k_chunk = 16;
-    std::size_t derived = 0;
-    for (;;) {
-        const std::size_t begin = next.fetch_add(k_chunk, std::memory_order_relaxed);
-        if (begin >= jobs.size()) {
-            evaluated.fetch_add(derived, std::memory_order_relaxed);
-            return;
-        }
-        if (options.cancel != nullptr && options.cancel->expired()) {
-            throw job_timeout("ee.search", options.context, begin);
-        }
-        fault::injector::instance().check("ee.search", begin);
-        if (options.recorder != nullptr) {
-            options.recorder->record("ee.chunk", begin, jobs.size());
-        }
-        const std::size_t end = std::min(begin + k_chunk, jobs.size());
-        for (std::size_t i = begin; i < end; ++i) {
-            best[i] = find_best_trigger(pl.gate(jobs[i].master).function,
-                                        jobs[i].pin_arrivals, search, &derived);
-        }
-    }
-}
 
 }  // namespace
 
@@ -77,46 +39,29 @@ ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options) {
     }
     stats.masters_considered = jobs.size();
 
-    // Phase 1 — search, read-only over the netlist and safe to fan out.
-    // Every search is pure, so the legs share nothing but the work counter
-    // and the position-addressed result slots.
+    // Phase 1 — search, read-only over the netlist, in gate order.  Every
+    // 16 masters (sites 0, 16, 32, ...) the pass polls the cancel token,
+    // checks the ee.search fault point under the job's scope and records an
+    // ee.chunk event, so a throw leaves the netlist untouched.
+    fault::injector::scope scope(fault::injector::hash(options.context));
+    constexpr std::size_t k_chunk = 16;
     std::vector<std::optional<trigger_candidate>> best(jobs.size());
-    unsigned threads = options.num_threads != 0 ? options.num_threads
-                                                : std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-    threads = static_cast<unsigned>(
-        std::min<std::size_t>(threads, std::max<std::size_t>(jobs.size(), 1)));
-
-    // The calling thread is leg 0.  A throw inside any leg must still join
-    // the pool and then propagate to the caller, exactly as the sequential
-    // pass would have propagated it.
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> evaluated{0};
-    std::vector<std::exception_ptr> errors(threads);
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (unsigned t = 1; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-            try {
-                search_worker(pl, jobs, options, next, best, evaluated);
-            } catch (...) {
-                errors[t] = std::current_exception();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (i % k_chunk == 0) {
+            if (options.cancel != nullptr && options.cancel->expired()) {
+                throw job_timeout("ee.search", options.context, i);
             }
-        });
+            fault::injector::instance().check("ee.search", i);
+            if (options.recorder != nullptr) {
+                options.recorder->record("ee.chunk", i, jobs.size());
+            }
+        }
+        best[i] = find_best_trigger(pl.gate(jobs[i].master).function,
+                                    jobs[i].pin_arrivals, options.search,
+                                    &stats.supports_evaluated);
     }
-    try {
-        search_worker(pl, jobs, options, next, best, evaluated);
-    } catch (...) {
-        errors[0] = std::current_exception();
-    }
-    for (std::thread& t : pool) t.join();
-    for (const std::exception_ptr& e : errors) {
-        if (e) std::rethrow_exception(e);
-    }
-    stats.supports_evaluated = evaluated.load(std::memory_order_relaxed);
 
-    // Phase 2 — mutate, serial and in gate order: identical output to the
-    // original sequential pass regardless of the thread count above.
+    // Phase 2 — mutate, in gate order.
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (!best[i]) continue;
         const pl::gate_id trig =

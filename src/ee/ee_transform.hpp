@@ -27,25 +27,20 @@ namespace plee::ee {
 
 struct ee_options {
     search_options search;
-    /// Worker threads for the per-gate trigger search (the netlist-scale hot
-    /// loop).  0 = one per hardware thread, 1 = fully sequential.  The
-    /// search phase is pure, results are collected per gate index, and the
-    /// netlist mutation phase stays serial in gate order — so the transform
-    /// is bit-identical for every thread count.
+    /// Ignored: the pass is one serial loop.  Kept only because the
+    /// repository benchmark's harness still assigns it; nothing else sets it.
     unsigned num_threads = 0;
-    /// Cooperative cancellation: every worker polls the token at each
-    /// work-queue chunk and raises plee::job_timeout when it has expired, so
-    /// a pathological search stops within one chunk of extra work.  Not
+    /// Cooperative cancellation: the search polls the token every 16
+    /// masters and raises plee::job_timeout when it has expired, so a
+    /// pathological search stops within 16 masters of extra work.  Not
     /// owned; null = never cancelled.
     cancel_token* cancel = nullptr;
     /// Job context for cancellation messages and fault-injection scoping
     /// (the job id, e.g. "b05").  Empty is fine for standalone passes.
     std::string context;
-    /// Flight recorder: every worker records an "ee.chunk" event per
-    /// work-queue chunk it claims (the same cadence as the cancel poll), so
-    /// a post-mortem shows how deep the trigger search got.  The recorder is
-    /// internally synchronized, so one per-job instance serves all worker
-    /// threads.  Not owned; null = off.
+    /// Flight recorder: the search records an "ee.chunk" event every 16
+    /// masters (the cancel poll's cadence), so a post-mortem shows how deep
+    /// the trigger search got.  Not owned; null = off.
     obs::flight_recorder* recorder = nullptr;
 };
 
@@ -60,14 +55,17 @@ struct ee_stats {
     std::size_t masters_considered = 0;
     /// Support sets whose trigger the search actually derived, summed over
     /// the masters; the branch-and-bound skips the rest (see
-    /// `find_best_trigger`).  Independent of the thread count.
+    /// `find_best_trigger`).
     std::size_t supports_evaluated = 0;
     std::size_t triggers_added = 0;
     std::vector<applied_trigger> applied;
 };
 
-/// Applies Early Evaluation in place.  Arrival depths are computed once on
-/// the incoming netlist (the paper's static arrival model).
+/// Applies Early Evaluation in place, in one serial pass: search every
+/// master in gate order, then attach the triggers in gate order.  Arrival
+/// depths are computed once on the incoming netlist (the paper's static
+/// arrival model).  A cancel or injected fault raised during the search
+/// leaves the netlist unchanged.
 ee_stats apply_early_evaluation(pl::pl_netlist& pl, const ee_options& options = {});
 
 }  // namespace plee::ee

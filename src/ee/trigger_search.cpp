@@ -1,6 +1,7 @@
 #include "ee/trigger_search.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -92,47 +93,15 @@ bf::truth_table cube_list_trigger_function(const bf::truth_table& master,
 
     // "Since 2 cubes in Table 2 depend only upon master inputs a and b ...
     // a coverage of 50% is computed for the trigger function": each cube of
-    // either cover that is confined to the support becomes a product of
-    // projection masks over the compressed pins — one AND per bound literal.
-    if (k <= bf::k_word_vars) {
-        // Single-word fast path: one register AND per literal, as pre-
-        // multiword — the dominant (<= 6 pin) case pays no truth_table
-        // temporaries.
-        const std::uint64_t full_k =
-            k == bf::k_word_vars ? ~std::uint64_t{0}
-                                 : ((std::uint64_t{1} << (1u << k)) - 1);
-        std::uint64_t bits = 0;
-        auto absorb = [&](const bf::cube_list& cubes) {
-            const bf::cube_list confined = cubes.restricted_to_support(support);
-            for (const bf::cube& c : confined.cubes()) {
-                std::uint64_t t = full_k;
-                for (int i = 0; i < k; ++i) {
-                    const int v = members[static_cast<std::size_t>(i)];
-                    if (!((c.care_mask() >> v) & 1u)) continue;
-                    t &= ((c.value_mask() >> v) & 1u) ? bf::k_var_mask[i]
-                                                      : ~bf::k_var_mask[i];
-                }
-                bits |= t;
-            }
-        };
-        absorb(cover.on);
-        absorb(cover.off);
-        return bf::truth_table(k, bits & full_k);
-    }
-    // Multiword supports (> 6 compressed pins): the same product, built
-    // word-parallel over truth-table projections.
+    // either cover that is confined to the support fires on every support
+    // assignment it contains.
     bf::truth_table trig(k);
     auto absorb = [&](const bf::cube_list& cubes) {
         const bf::cube_list confined = cubes.restricted_to_support(support);
         for (const bf::cube& c : confined.cubes()) {
-            bf::truth_table t = bf::truth_table::constant(k, true);
-            for (int i = 0; i < k; ++i) {
-                const int v = members[static_cast<std::size_t>(i)];
-                if (!((c.care_mask() >> v) & 1u)) continue;
-                const bf::truth_table x = bf::truth_table::variable(k, i);
-                t = t & (((c.value_mask() >> v) & 1u) ? x : ~x);
+            for (std::uint32_t a = 0; a < (1u << k); ++a) {
+                if (c.contains(spread(a, members))) trig.set(a, true);
             }
-            trig = trig | t;
         }
     };
     absorb(cover.on);
@@ -185,27 +154,6 @@ bf::truth_table exact_trigger_function(const bf::truth_table& master,
     return trig;
 }
 
-bf::truth_table cube_list_trigger_function(const bf::truth_table& master,
-                                           const bf::on_off_cover& cover,
-                                           std::uint32_t support) {
-    check_support(master, support, "scalar::cube_list_trigger_function");
-    const std::vector<int> members = bf::support_members(support);
-    const int k = static_cast<int>(members.size());
-
-    bf::truth_table trig(k);
-    auto absorb = [&](const bf::cube_list& cubes) {
-        const bf::cube_list confined = cubes.restricted_to_support(support);
-        for (const bf::cube& c : confined.cubes()) {
-            for (std::uint32_t a = 0; a < (1u << k); ++a) {
-                if (c.contains(spread(a, members))) trig.set(a, true);
-            }
-        }
-    };
-    absorb(cover.on);
-    absorb(cover.off);
-    return trig;
-}
-
 int covered_minterms(const bf::truth_table& master, std::uint32_t support,
                      const bf::truth_table& trigger) {
     const std::vector<int> members = bf::support_members(support);
@@ -241,6 +189,32 @@ int max_arrival(const std::vector<int>& pin_arrivals, std::uint32_t pins) {
     return worst;
 }
 
+/// Every proper pin subset of an n-input master, by size and then by value
+/// (`bf::enumerate_support_subsets` order), and how many of them have at
+/// most k members.  Built at compile time, so no job pays for it; an
+/// in-place submask walk measured slower in the search.
+struct support_order {
+    std::array<std::uint8_t, (1u << bf::k_max_vars) - 2> subsets{};
+    std::array<std::uint16_t, bf::k_max_vars + 1> count_up_to{};
+};
+
+constexpr std::array<support_order, bf::k_max_vars + 1> k_support_orders = [] {
+    std::array<support_order, bf::k_max_vars + 1> orders{};
+    for (int n = 1; n <= bf::k_max_vars; ++n) {
+        support_order& order = orders[static_cast<std::size_t>(n)];
+        std::uint16_t listed = 0;
+        for (int size = 1; size <= bf::k_max_vars; ++size) {
+            for (std::uint32_t s = 1; size < n && s < (1u << n) - 1; ++s) {
+                if (std::popcount(s) == size) {
+                    order.subsets[listed++] = static_cast<std::uint8_t>(s);
+                }
+            }
+            order.count_up_to[static_cast<std::size_t>(size)] = listed;
+        }
+    }
+    return orders;
+}();
+
 void check_arrivals(const bf::truth_table& master, const std::vector<int>& pin_arrivals,
                     const char* who) {
     if (static_cast<int>(pin_arrivals.size()) != master.num_vars()) {
@@ -269,9 +243,7 @@ std::optional<trigger_candidate> evaluate_support(const bf::truth_table& master,
                             ? scalar::exact_trigger_function(master, support)
                             : exact_trigger_function(master, support);
     } else {
-        cand.function = options.use_scalar_kernels
-                            ? scalar::cube_list_trigger_function(master, *cover, support)
-                            : cube_list_trigger_function(master, *cover, support);
+        cand.function = cube_list_trigger_function(master, *cover, support);
     }
     if (cand.function.is_constant_zero()) return std::nullopt;
 
@@ -307,8 +279,11 @@ std::optional<trigger_candidate> find_best_trigger(const bf::truth_table& master
     // some support survives the bound.
     std::optional<bf::on_off_cover> cover;
     std::size_t evaluated = 0;
-    for (std::uint32_t support :
-         bf::cached_support_subsets(all_pins, options.max_support_size)) {
+    const support_order& order = k_support_orders[static_cast<std::size_t>(master.num_vars())];
+    const std::uint16_t supports = order.count_up_to[static_cast<std::size_t>(
+        std::clamp(options.max_support_size, 0, bf::k_max_vars))];
+    for (std::uint16_t i = 0; i < supports; ++i) {
+        const std::uint32_t support = order.subsets[i];
         const int trigger_max_arrival = max_arrival(pin_arrivals, support);
         if (options.require_arrival_gain && trigger_max_arrival >= master_max_arrival) {
             continue;  // the trigger could not fire any earlier than the master

@@ -65,7 +65,10 @@ bf::truth_table exact_trigger_function(const bf::truth_table& master,
                                        std::uint32_t support);
 
 /// The paper's cube-list trigger for support S: the union of ON- and
-/// OFF-cover cubes confined to S, projected onto the S pins.
+/// OFF-cover cubes confined to S, projected onto the S pins.  One
+/// implementation, per support assignment: with the branch-and-bound, the
+/// ON/OFF cover dominates a cube-list search and a word-parallel kernel
+/// measured no faster.
 bf::truth_table cube_list_trigger_function(const bf::truth_table& master,
                                            const bf::on_off_cover& cover,
                                            std::uint32_t support);
@@ -81,17 +84,14 @@ int covered_minterms(const bf::truth_table& master, std::uint32_t support,
 double equation1_cost(double coverage_percent, int master_max_arrival,
                       int trigger_max_arrival);
 
-/// Retained scalar reference implementations of the three kernels above:
-/// the original per-minterm eval() loops, kept verbatim as the ground truth
+/// Scalar reference implementations of `exact_trigger_function` and
+/// `covered_minterms`: per-minterm eval() loops, kept as the ground truth
 /// the word-parallel versions are exhaustively cross-checked against (all
 /// 2^16 LUT4 masters x all support sets) and as the baseline the speedup in
 /// BENCH_trigger.json is measured from.  Semantically identical.
 namespace scalar {
 bf::truth_table exact_trigger_function(const bf::truth_table& master,
                                        std::uint32_t support);
-bf::truth_table cube_list_trigger_function(const bf::truth_table& master,
-                                           const bf::on_off_cover& cover,
-                                           std::uint32_t support);
 int covered_minterms(const bf::truth_table& master, std::uint32_t support,
                      const bf::truth_table& trigger);
 }  // namespace scalar
@@ -107,10 +107,11 @@ struct search_options {
     /// this off selects by raw coverage only — the ablation the paper argues
     /// against ("a large coverage ... may depend on slowly arriving signals").
     bool weight_by_arrival = true;
-    /// Route trigger derivation and coverage counting through the scalar
-    /// reference kernels instead of the word-parallel ones.  For the
-    /// cross-check tests and the baseline leg of bench_micro; results are
-    /// identical either way.
+    /// Route exact trigger derivation and coverage counting through the
+    /// `scalar` reference kernels instead of the word-parallel ones (the
+    /// cube-list derivation has one implementation).  For the cross-check
+    /// tests and the baseline leg of bench_micro; results are identical
+    /// either way.
     bool use_scalar_kernels = false;
 };
 
@@ -139,7 +140,8 @@ std::optional<trigger_candidate> evaluate_support(const bf::truth_table& master,
 /// `cost_threshold` and, under `require_arrival_gain`, Tmax < Mmax.  The
 /// best has the highest cost; ties go to more covered minterms, then to the
 /// smaller support, then to the earlier support in
-/// `bf::cached_support_subsets` order.
+/// `bf::enumerate_support_subsets` order (by size, then by value), which
+/// the search reads from a table built at compile time.
 ///
 /// The search is a branch-and-bound.  Tmax comes from `pin_arrivals` before
 /// any kernel runs, and a support is skipped without deriving its trigger

@@ -9,7 +9,7 @@
 // probabilities:
 //
 //   synth.map     entry of the PL mapping stage (once per pipeline run)
-//   ee.search     every trigger-search work-queue chunk
+//   ee.search     the trigger search, every 16 masters (sites 0, 16, ...)
 //   sim.fire      the simulator event loops, once per cancel-check interval
 //
 // Decisions are *stateless*: whether a check fires depends only on

@@ -29,7 +29,7 @@ struct experiment_options {
     ee::ee_options ee{};
     sim::measure_options measure{};
     /// Cooperative cancellation for the whole pipeline run: polled between
-    /// stages, inside the EE search chunks and inside the simulator event
+    /// stages, every 16 masters of the EE search and inside the simulator event
     /// loops.  Expiry raises plee::job_timeout.  Not owned.
     cancel_token* cancel = nullptr;
     /// Failure context threaded into every typed error and fault-injection

@@ -19,8 +19,7 @@ namespace {
 /// Runs one job to its terminal status: one pipeline run under a
 /// deadline-armed cancel token.  Fills the slot's row/status/error.  Never
 /// throws.
-void run_job(const fleet_job& job, const report::experiment_options& experiment,
-             const fleet_options& options, job_result& out) {
+void run_job(const fleet_job& job, const fleet_options& options, job_result& out) {
     const wall_timer timer;
     out.id = job.id;
     cancel_token token;
@@ -30,7 +29,7 @@ void run_job(const fleet_job& job, const report::experiment_options& experiment,
     // Chain under the fleet-wide interrupt token: a SIGINT cancels this job
     // at its next cooperative poll, same path as a deadline.
     token.set_parent(options.fleet_cancel);
-    report::experiment_options opts = experiment;
+    report::experiment_options opts = options.experiment;
     opts.cancel = &token;
     opts.fault_context = job.id;
     if (job.max_events != 0) opts.measure.sim.max_events = job.max_events;
@@ -71,9 +70,8 @@ void run_job(const fleet_job& job, const report::experiment_options& experiment,
 /// Pulls job indices from the shared counter and runs each to its terminal
 /// status.  Results are slot-addressed by job index, so any interleaving
 /// produces the same fleet_result.
-void fleet_worker(const std::vector<fleet_job>& jobs,
-                  const report::experiment_options& experiment,
-                  const fleet_options& options, std::atomic<std::size_t>& next,
+void fleet_worker(const std::vector<fleet_job>& jobs, const fleet_options& options,
+                  std::atomic<std::size_t>& next,
                   std::vector<job_result>& results) {
     for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -86,7 +84,7 @@ void fleet_worker(const std::vector<fleet_job>& jobs,
             results[i].error = "fleet interrupted before job started";
             continue;
         }
-        run_job(jobs[i], experiment, options, results[i]);
+        run_job(jobs[i], options, results[i]);
     }
 }
 
@@ -105,36 +103,26 @@ const char* to_string(job_status status) {
 fleet_result run_fleet(const std::vector<fleet_job>& jobs,
                        const fleet_options& options) {
     fleet_result fleet;
-    unsigned requested = options.num_threads != 0
-                             ? options.num_threads
-                             : std::thread::hardware_concurrency();
-    if (requested == 0) requested = 1;
-    const unsigned threads = static_cast<unsigned>(
-        std::min<std::size_t>(requested, std::max<std::size_t>(jobs.size(), 1)));
+    unsigned threads = options.num_threads != 0
+                           ? options.num_threads
+                           : std::thread::hardware_concurrency();
+    if (threads == 0) threads = 1;
+    threads = static_cast<unsigned>(
+        std::min<std::size_t>(threads, std::max<std::size_t>(jobs.size(), 1)));
     fleet.threads = threads;
     fleet.results.resize(jobs.size());
     if (jobs.empty()) return fleet;
 
-    // Threads the worker pool leaves idle go to each job's EE search.
-    report::experiment_options experiment = options.experiment;
-    experiment.ee.num_threads = static_cast<unsigned>(
-        std::max<std::size_t>(1, requested / jobs.size()));
-
     std::atomic<std::size_t> next{0};
     const wall_timer timer;
-    if (threads <= 1) {
-        fleet_worker(jobs, experiment, options, next, fleet.results);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads - 1);
-        for (unsigned t = 1; t < threads; ++t) {
-            pool.emplace_back([&] {
-                fleet_worker(jobs, experiment, options, next, fleet.results);
-            });
-        }
-        fleet_worker(jobs, experiment, options, next, fleet.results);
-        for (std::thread& t : pool) t.join();
+    // The calling thread is worker 0.
+    std::vector<std::thread> pool;
+    pool.reserve(threads - 1);
+    for (unsigned t = 1; t < threads; ++t) {
+        pool.emplace_back([&] { fleet_worker(jobs, options, next, fleet.results); });
     }
+    fleet_worker(jobs, options, next, fleet.results);
+    for (std::thread& t : pool) t.join();
     fleet.wall_ms = timer.elapsed_ms();
 
     for (const job_result& r : fleet.results) {

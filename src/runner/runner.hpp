@@ -65,13 +65,11 @@ enum class job_status : std::uint8_t {
 const char* to_string(job_status status);
 
 struct fleet_options {
-    /// Threads for the whole fleet.  0 = one per hardware thread.  The
-    /// worker pool takes min(num_threads, jobs) of them; each job's EE
-    /// search gets max(1, num_threads / jobs), so a fleet of one searches
-    /// on the whole pool while bigger fleets keep each search sequential.
+    /// Worker threads for the fleet.  0 = one per hardware thread.  The
+    /// pool takes min(num_threads, jobs) of them, one job per worker at a
+    /// time; each job runs serially.
     unsigned num_threads = 0;
-    /// Per-circuit pipeline knobs (mapping, EE search, measurement).  The
-    /// runner owns ee.num_threads; a value set there is overridden per job.
+    /// Per-circuit pipeline knobs (mapping, EE search, measurement).
     report::experiment_options experiment{};
     /// Per-job wall-clock deadline in ms (0 = none).  Each job gets a
     /// fresh cancel token armed with this deadline; the pipeline stages poll

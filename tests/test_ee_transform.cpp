@@ -13,8 +13,10 @@
 
 #include "bench_circuits/itc99.hpp"
 #include "bool/support.hpp"
+#include "fault/injector.hpp"
 #include "obs/registry.hpp"
 #include "plogic/pl_mapper.hpp"
+#include "rt/errors.hpp"
 #include "synth/rtl.hpp"
 #include "workload/workload.hpp"
 
@@ -134,92 +136,10 @@ TEST(EeTransform, AppliedCandidatesRespectPolicy) {
     }
 }
 
-/// Gate-for-gate, edge-for-edge structural equality of two PL netlists.
-void expect_identical_netlists(const pl::pl_netlist& a, const pl::pl_netlist& b) {
-    ASSERT_EQ(a.num_gates(), b.num_gates());
-    ASSERT_EQ(a.num_edges(), b.num_edges());
-    for (pl::gate_id g = 0; g < a.num_gates(); ++g) {
-        const pl::pl_gate& ga = a.gate(g);
-        const pl::pl_gate& gb = b.gate(g);
-        ASSERT_EQ(ga.kind, gb.kind) << "gate " << g;
-        ASSERT_EQ(ga.name, gb.name) << "gate " << g;
-        ASSERT_EQ(ga.function, gb.function) << "gate " << g;
-        ASSERT_EQ(ga.trigger, gb.trigger) << "gate " << g;
-        ASSERT_EQ(ga.master, gb.master) << "gate " << g;
-        ASSERT_EQ(ga.efire_in, gb.efire_in) << "gate " << g;
-        ASSERT_EQ(ga.trigger_support, gb.trigger_support) << "gate " << g;
-        ASSERT_EQ(ga.in_edges, gb.in_edges) << "gate " << g;
-        ASSERT_EQ(ga.out_edges, gb.out_edges) << "gate " << g;
-        ASSERT_EQ(ga.data_in, gb.data_in) << "gate " << g;
-    }
-    for (pl::edge_id e = 0; e < a.num_edges(); ++e) {
-        const pl::pl_edge& ea = a.edge(e);
-        const pl::pl_edge& eb = b.edge(e);
-        ASSERT_EQ(ea.from, eb.from) << "edge " << e;
-        ASSERT_EQ(ea.to, eb.to) << "edge " << e;
-        ASSERT_EQ(ea.kind, eb.kind) << "edge " << e;
-        ASSERT_EQ(ea.to_pin, eb.to_pin) << "edge " << e;
-        ASSERT_EQ(ea.init_token, eb.init_token) << "edge " << e;
-        ASSERT_EQ(ea.init_value, eb.init_value) << "edge " << e;
-    }
-}
-
-TEST(EeTransform, ParallelPassIsBitIdenticalToSequential) {
-    // The batched thread-parallel search must be a pure speedup: identical
-    // triggers, identical netlist, identical stats — on real circuits.
-    for (const char* id : {"b05", "b07", "b10"}) {
-        const nl::netlist n = bench::build_benchmark(id);
-
-        pl::map_result seq = pl::map_to_phased_logic(n);
-        ee_options seq_opts;
-        seq_opts.num_threads = 1;
-        const ee_stats seq_stats = apply_early_evaluation(seq.pl, seq_opts);
-
-        for (unsigned threads : {2u, 4u, 7u}) {
-            pl::map_result par = pl::map_to_phased_logic(n);
-            ee_options par_opts;
-            par_opts.num_threads = threads;
-            const ee_stats par_stats = apply_early_evaluation(par.pl, par_opts);
-
-            EXPECT_EQ(par_stats.masters_considered, seq_stats.masters_considered)
-                << id << " threads=" << threads;
-            EXPECT_EQ(par_stats.supports_evaluated, seq_stats.supports_evaluated)
-                << id << " threads=" << threads;
-            ASSERT_EQ(par_stats.triggers_added, seq_stats.triggers_added)
-                << id << " threads=" << threads;
-            for (std::size_t i = 0; i < seq_stats.applied.size(); ++i) {
-                ASSERT_EQ(par_stats.applied[i].master, seq_stats.applied[i].master);
-                ASSERT_EQ(par_stats.applied[i].trigger, seq_stats.applied[i].trigger);
-                ASSERT_EQ(par_stats.applied[i].candidate.support,
-                          seq_stats.applied[i].candidate.support);
-                ASSERT_EQ(par_stats.applied[i].candidate.function,
-                          seq_stats.applied[i].candidate.function);
-                ASSERT_EQ(par_stats.applied[i].candidate.cost,
-                          seq_stats.applied[i].candidate.cost);
-            }
-            expect_identical_netlists(par.pl, seq.pl);
-        }
-    }
-}
-
-TEST(EeTransform, DefaultThreadCountMatchesSequential) {
-    // num_threads = 0 (auto) must still be bit-identical.
-    const nl::netlist n = bench::build_benchmark("b08");
-    pl::map_result seq = pl::map_to_phased_logic(n);
-    ee_options seq_opts;
-    seq_opts.num_threads = 1;
-    apply_early_evaluation(seq.pl, seq_opts);
-
-    pl::map_result autop = pl::map_to_phased_logic(n);
-    apply_early_evaluation(autop.pl);  // defaults: auto thread count
-    expect_identical_netlists(autop.pl, seq.pl);
-}
-
-TEST(EeTransform, WideMasterParallelPassIsDeterministicAndOracleExact) {
+TEST(EeTransform, WideMasterTriggersMatchScalarOracle) {
     // LUT6/LUT8 netlists: almost every master is a distinct wide function.
-    // The search legs share nothing but the work counter, so 1 and 4
-    // threads must apply the same triggers, and each applied trigger must be
-    // the scalar oracle's exact trigger for its master and support.
+    // Each applied trigger must be the scalar oracle's exact trigger for its
+    // master and support.
     for (const wl::scenario kind :
          {wl::scenario::lut6_dag, wl::scenario::lut8_datapath}) {
         for (const std::uint64_t seed : {3u, 11u}) {
@@ -228,37 +148,68 @@ TEST(EeTransform, WideMasterParallelPassIsDeterministicAndOracleExact) {
             const std::string label = std::string(wl::to_string(kind)) +
                                       " seed=" + std::to_string(seed);
 
-            pl::map_result seq = pl::map_to_phased_logic(n);
-            ee_options seq_opts;
-            seq_opts.num_threads = 1;
-            const ee_stats seq_stats = apply_early_evaluation(seq.pl, seq_opts);
-            ASSERT_GT(seq_stats.triggers_added, 0u) << label;
+            pl::map_result mapped = pl::map_to_phased_logic(n);
+            const ee_stats stats = apply_early_evaluation(mapped.pl);
+            ASSERT_GT(stats.triggers_added, 0u) << label;
 
-            pl::map_result par = pl::map_to_phased_logic(n);
-            ee_options par_opts;
-            par_opts.num_threads = 4;
-            const ee_stats par_stats = apply_early_evaluation(par.pl, par_opts);
-
-            ASSERT_EQ(par_stats.applied.size(), seq_stats.applied.size()) << label;
-            EXPECT_EQ(par_stats.supports_evaluated, seq_stats.supports_evaluated) << label;
             int widest = 0;
-            for (std::size_t i = 0; i < seq_stats.applied.size(); ++i) {
-                const applied_trigger& s = seq_stats.applied[i];
-                const applied_trigger& p = par_stats.applied[i];
-                ASSERT_EQ(p.master, s.master) << label;
-                ASSERT_EQ(p.candidate.support, s.candidate.support) << label;
-                ASSERT_EQ(p.candidate.function, s.candidate.function) << label;
-
-                const bf::truth_table& master = seq.pl.gate(s.master).function;
+            for (const applied_trigger& at : stats.applied) {
+                const bf::truth_table& master = mapped.pl.gate(at.master).function;
                 widest = std::max(widest, master.num_vars());
-                ASSERT_EQ(s.candidate.function,
-                          scalar::exact_trigger_function(master, s.candidate.support))
-                    << label << " master=" << s.master;
+                ASSERT_EQ(at.candidate.function,
+                          scalar::exact_trigger_function(master, at.candidate.support))
+                    << label << " master=" << at.master;
             }
             // The sweep really exercised wide masters, not just LUT4s.
             EXPECT_GT(widest, 4) << label;
-            expect_identical_netlists(par.pl, seq.pl);
         }
+    }
+}
+
+TEST(EeTransform, ExpiredCancelOrInjectedFaultStopsTheSearch) {
+    // Both stops happen at the first poll (site 0), before any trigger is
+    // attached, so the netlist keeps its shape.
+    const nl::netlist n = bench::build_benchmark("b05");
+    {
+        pl::map_result mapped = pl::map_to_phased_logic(n);
+        const std::size_t gates = mapped.pl.num_gates();
+        const std::size_t edges = mapped.pl.num_edges();
+        cancel_token token;
+        token.cancel();
+        ee_options opts;
+        opts.cancel = &token;
+        opts.context = "b05";
+        try {
+            apply_early_evaluation(mapped.pl, opts);
+            ADD_FAILURE() << "an expired token must stop the search";
+        } catch (const job_timeout& e) {
+            EXPECT_NE(std::string(e.what()).find("ee.search[b05]"), std::string::npos)
+                << e.what();
+            EXPECT_EQ(e.progress(), 0u);
+        }
+        EXPECT_EQ(mapped.pl.num_gates(), gates);
+        EXPECT_EQ(mapped.pl.num_edges(), edges);
+    }
+    {
+        pl::map_result mapped = pl::map_to_phased_logic(n);
+        const std::size_t gates = mapped.pl.num_gates();
+        const std::size_t edges = mapped.pl.num_edges();
+        struct disarm_on_exit {
+            ~disarm_on_exit() { fault::injector::instance().clear(); }
+        } disarm;
+        fault::point_config always;
+        always.probability = 1.0;
+        fault::injector::instance().arm("ee.search", always);
+        try {
+            apply_early_evaluation(mapped.pl);
+            ADD_FAILURE() << "an armed ee.search point must stop the search";
+        } catch (const fault::injected_fault& e) {
+            EXPECT_EQ(e.point(), "ee.search");
+            EXPECT_NE(std::string(e.what()).find("(site 0)"), std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(mapped.pl.num_gates(), gates);
+        EXPECT_EQ(mapped.pl.num_edges(), edges);
     }
 }
 
@@ -287,14 +238,12 @@ TEST(EeTransform, SupportsEvaluatedCountIsPinned) {
         for (pl::gate_id g = 0; g < mapped.pl.num_gates(); ++g) {
             const pl::pl_gate& gate = mapped.pl.gate(g);
             if (gate.kind != pl::gate_kind::compute || gate.data_in.size() < 2) continue;
-            unpruned += bf::cached_support_subsets(
+            unpruned += bf::enumerate_support_subsets(
                             (1u << gate.function.num_vars()) - 1, 3)
                             .size();
         }
         const std::uint64_t before = counter.value();
-        ee_options opts;
-        opts.num_threads = 2;
-        const ee_stats stats = apply_early_evaluation(mapped.pl, opts);
+        const ee_stats stats = apply_early_evaluation(mapped.pl);
         EXPECT_EQ(stats.supports_evaluated, c.supports_evaluated) << c.label;
         EXPECT_EQ(counter.value() - before, stats.supports_evaluated) << c.label;
         EXPECT_LT(stats.supports_evaluated, unpruned) << c.label;

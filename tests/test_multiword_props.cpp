@@ -284,7 +284,7 @@ TEST(MultiwordTrigger, ExactTriggerMatchesScalarOracleOnWideMasters) {
         const std::uint32_t pins = (1u << n) - 1;
         for (int trial = 0; trial < 30; ++trial) {
             const truth_table master = random_table(n, rng);
-            for (std::uint32_t s : bf::cached_support_subsets(pins, 3)) {
+            for (std::uint32_t s : bf::enumerate_support_subsets(pins, 3)) {
                 const truth_table word = exact_trigger_function(master, s);
                 ASSERT_EQ(word, scalar::exact_trigger_function(master, s))
                     << "n=" << n << " support=" << s;
@@ -308,28 +308,6 @@ TEST(MultiwordTrigger, ExactTriggerHandlesWideSupports) {
     }
 }
 
-TEST(MultiwordTrigger, CubeListTriggerMatchesScalarOracleOnWideMasters) {
-    sm_stream rng(13);
-    for (int n : {7, 8}) {
-        const std::uint32_t pins = (1u << n) - 1;
-        for (int trial = 0; trial < 4; ++trial) {
-            // Structured masters keep the QM cover compact at 8 variables: a
-            // threshold function plus random input negations.
-            truth_table base = truth_table::from_function(n, [n](std::uint32_t m) {
-                return std::popcount(m) * 2 > n;
-            });
-            base = base.negate_inputs(static_cast<std::uint32_t>(rng.next()) &
-                                      ((1u << n) - 1));
-            const bf::on_off_cover cover = bf::make_on_off_cover(base);
-            for (std::uint32_t s : bf::cached_support_subsets(pins, 3)) {
-                ASSERT_EQ(cube_list_trigger_function(base, cover, s),
-                          scalar::cube_list_trigger_function(base, cover, s))
-                    << "n=" << n << " support=" << s;
-            }
-        }
-    }
-}
-
 TEST(MultiwordTrigger, FullSearchMatchesScalarKernelsOnWideMasters) {
     sm_stream rng(14);
     search_options word_opts;
@@ -342,7 +320,7 @@ TEST(MultiwordTrigger, FullSearchMatchesScalarKernelsOnWideMasters) {
             for (int v = 0; v < n; ++v) {
                 arrivals.push_back(static_cast<int>(rng.next() % 5));
             }
-            for (std::uint32_t sup : bf::cached_support_subsets((1u << n) - 1, 3)) {
+            for (std::uint32_t sup : bf::enumerate_support_subsets((1u << n) - 1, 3)) {
                 const std::optional<trigger_candidate> w =
                     evaluate_support(master, arrivals, sup, word_opts);
                 const std::optional<trigger_candidate> s =

@@ -148,7 +148,6 @@ TEST(Experiment, RowsMatchTheStageByStageCompositionOnEveryPreset) {
     for (const std::size_t lanes : {std::size_t{1}, sim::k_lanes}) {
         for (const wl::scenario kind : wl::all_scenarios()) {
             experiment_options opts;
-            opts.ee.num_threads = 1;
             opts.measure.lanes = lanes;
             opts.measure.num_vectors = lanes == 1 ? 100 : 128;
             expect_row_matches_composition(
@@ -160,7 +159,6 @@ TEST(Experiment, RowsMatchTheStageByStageCompositionOnEveryPreset) {
 
 TEST(Experiment, RowsMatchTheStageByStageCompositionOnItc99) {
     experiment_options opts;
-    opts.ee.num_threads = 1;
     for (const bench::benchmark_info& b : bench::itc99_suite()) {
         expect_row_matches_composition(b.id, b.build(), opts);
     }
@@ -169,7 +167,6 @@ TEST(Experiment, RowsMatchTheStageByStageCompositionOnItc99) {
 TEST(Experiment, EachStageRunsOncePerRow) {
     obs::trace trace;
     experiment_options opts;
-    opts.ee.num_threads = 1;
     opts.trace = &trace;
     run_ee_experiment("b05", bench::build_benchmark("b05"), opts);
     const auto count = [&](const std::string& name) {

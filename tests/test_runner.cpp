@@ -1,7 +1,7 @@
 // Tests for the sharded fleet runner: bit-identical results against the
 // serial single-circuit pipeline on b05/b07/b10 at several thread counts,
-// a fleet of one handing its threads to the EE search, aggregate
-// accounting, and error propagation.
+// a fleet of one running on one worker whatever the requested count,
+// aggregate accounting, and error propagation.
 
 #include "runner/runner.hpp"
 
@@ -209,8 +209,8 @@ TEST(FleetRunner, FailingJobsDoNotPerturbSurvivorRows) {
 }
 
 TEST(FleetRunner, FleetOfOneGivesTheSameRowAtAnyThreadCount) {
-    // A one-job fleet hands the whole pool to the job's EE search; the row
-    // must not depend on how many threads that search ran on.
+    // A one-job fleet runs on one worker whatever the requested count, and
+    // the row must not depend on that count.
     fleet_job job;
     job.id = "b07";
     job.description = "b07";

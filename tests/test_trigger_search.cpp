@@ -92,7 +92,7 @@ TEST(TriggerSearch, XorHasNoTrigger) {
                                    bf::truth_table::variable(3, 1) ^
                                    bf::truth_table::variable(3, 2);
     EXPECT_FALSE(find_best_trigger(master, {0, 0, 0}).has_value());
-    for (std::uint32_t s : bf::cached_support_subsets(0b111, 3)) {
+    for (std::uint32_t s : bf::enumerate_support_subsets(0b111, 3)) {
         const std::optional<trigger_candidate> c =
             evaluate_support(master, {0, 0, 0}, s);
         if (c) EXPECT_EQ(c->covered_minterms, 0);
@@ -106,11 +106,34 @@ TEST(TriggerSearch, FourteenSupportSetsEvaluatedForLut4) {
         4, [](std::uint32_t m) { return m != 0; });
     const std::vector<int> arrivals = {3, 2, 1, 0};
     std::size_t candidates = 0;
-    for (std::uint32_t s : bf::cached_support_subsets(0xf, 3)) {
+    for (std::uint32_t s : bf::enumerate_support_subsets(0xf, 3)) {
         if (evaluate_support(master, arrivals, s)) ++candidates;
     }
     EXPECT_EQ(candidates, 14u);
     ASSERT_TRUE(find_best_trigger(master, arrivals).has_value());
+}
+
+TEST(TriggerSearch, UnboundedSearchDerivesEverySupport) {
+    // Without the arrival gain and the Equation 1 weighting no support can
+    // be skipped (every bound is 100, above any implementable cost), so the
+    // in-place walk must derive exactly the supports the reference
+    // enumeration lists, for every arity and size limit.
+    search_options opts;
+    opts.require_arrival_gain = false;
+    opts.weight_by_arrival = false;
+    for (int n = 2; n <= bf::k_max_vars; ++n) {
+        const bf::truth_table master = bf::truth_table::from_function(
+            n, [](std::uint32_t m) { return std::popcount(m) % 3 == 1; });
+        const std::vector<int> arrivals(static_cast<std::size_t>(n), 0);
+        for (int max_size = -1; max_size <= n + 1; ++max_size) {
+            opts.max_support_size = max_size;
+            std::size_t derived = 0;
+            find_best_trigger(master, arrivals, opts, &derived);
+            EXPECT_EQ(derived,
+                      bf::enumerate_support_subsets((1u << n) - 1, max_size).size())
+                << "n=" << n << " max_size=" << max_size;
+        }
+    }
 }
 
 TEST(TriggerSearch, EquationOneArrivalWeighting) {
@@ -193,7 +216,7 @@ std::vector<trigger_candidate> every_candidate(const bf::truth_table& master,
                                                const bf::on_off_cover* cover) {
     std::vector<trigger_candidate> all;
     const std::uint32_t pins = (1u << master.num_vars()) - 1;
-    for (std::uint32_t s : bf::cached_support_subsets(pins, opts.max_support_size)) {
+    for (std::uint32_t s : bf::enumerate_support_subsets(pins, opts.max_support_size)) {
         if (std::optional<trigger_candidate> c =
                 evaluate_support(master, arrivals, s, opts, cover)) {
             all.push_back(*c);
@@ -245,8 +268,8 @@ void expect_matches_oracle(const bf::truth_table& master, const std::vector<int>
         const std::vector<trigger_candidate> all =
             every_candidate(master, arrivals, base, cover);
         const std::size_t supports =
-            bf::cached_support_subsets((1u << master.num_vars()) - 1,
-                                       base.max_support_size)
+            bf::enumerate_support_subsets((1u << master.num_vars()) - 1,
+                                          base.max_support_size)
                 .size();
         for (const bool gain : {true, false}) {
             for (const double threshold : {0.0, 150.0}) {

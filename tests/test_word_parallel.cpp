@@ -1,7 +1,7 @@
 // Exhaustive equivalence of the word-parallel trigger kernels against the
 // retained scalar reference implementations: every LUT4 master (all 2^16
-// functions) under every candidate support set, for both the exact and the
-// cube-list derivations, plus the coverage counter.  This is the ground
+// functions) under every candidate support set, for the exact derivation
+// and the coverage counter.  This is the ground
 // truth that lets the hot path stay branch-free word ops.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <optional>
 #include <vector>
 
-#include "bool/cube_list.hpp"
 #include "bool/support.hpp"
 #include "ee/trigger_search.hpp"
 
@@ -20,7 +19,7 @@ namespace {
 TEST(WordParallel, ExactTriggerMatchesScalarOnAllLut4Masters) {
     for (std::uint32_t f = 0; f <= 0xffffu; ++f) {
         const bf::truth_table master(4, f);
-        for (std::uint32_t s : bf::cached_support_subsets(0xf, 3)) {
+        for (std::uint32_t s : bf::enumerate_support_subsets(0xf, 3)) {
             const bf::truth_table word = exact_trigger_function(master, s);
             const bf::truth_table ref = scalar::exact_trigger_function(master, s);
             ASSERT_EQ(word, ref) << "master=" << f << " support=" << s;
@@ -31,24 +30,11 @@ TEST(WordParallel, ExactTriggerMatchesScalarOnAllLut4Masters) {
 TEST(WordParallel, CoveredMintermsMatchesScalarOnAllLut4Masters) {
     for (std::uint32_t f = 0; f <= 0xffffu; ++f) {
         const bf::truth_table master(4, f);
-        for (std::uint32_t s : bf::cached_support_subsets(0xf, 3)) {
+        for (std::uint32_t s : bf::enumerate_support_subsets(0xf, 3)) {
             const bf::truth_table trig = exact_trigger_function(master, s);
             ASSERT_EQ(covered_minterms(master, s, trig),
                       scalar::covered_minterms(master, s, trig))
                 << "master=" << f << " support=" << s;
-        }
-    }
-}
-
-TEST(WordParallel, CubeListTriggerMatchesScalarOnAllLut4Masters) {
-    for (std::uint32_t f = 0; f <= 0xffffu; ++f) {
-        const bf::truth_table master(4, f);
-        const bf::on_off_cover cover = bf::make_on_off_cover(master);
-        for (std::uint32_t s : bf::cached_support_subsets(0xf, 3)) {
-            const bf::truth_table word = cube_list_trigger_function(master, cover, s);
-            const bf::truth_table ref =
-                scalar::cube_list_trigger_function(master, cover, s);
-            ASSERT_EQ(word, ref) << "master=" << f << " support=" << s;
         }
     }
 }
@@ -65,7 +51,7 @@ TEST(WordParallel, FullSearchMatchesScalarKernels) {
         const bf::truth_table master(4, state & 0xffff);
         if (master.support_size() < 2) continue;
         const std::vector<int> arrivals = {3, 1, 2, 0};
-        for (std::uint32_t sup : bf::cached_support_subsets(0xf, 3)) {
+        for (std::uint32_t sup : bf::enumerate_support_subsets(0xf, 3)) {
             const std::optional<trigger_candidate> w =
                 evaluate_support(master, arrivals, sup, word_opts);
             const std::optional<trigger_candidate> s =
@@ -99,7 +85,7 @@ TEST(WordParallel, FiveAndSixVariableMastersMatchScalar) {
                 n == 6 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (1u << n)) - 1);
             const bf::truth_table master(n, state & mask);
             const std::uint32_t pins = (1u << n) - 1;
-            for (std::uint32_t s : bf::cached_support_subsets(pins, n - 1)) {
+            for (std::uint32_t s : bf::enumerate_support_subsets(pins, n - 1)) {
                 const bf::truth_table word = exact_trigger_function(master, s);
                 ASSERT_EQ(word, scalar::exact_trigger_function(master, s))
                     << "n=" << n << " support=" << s;

@@ -18,8 +18,8 @@
 //   --gates G      LUTs per synthetic netlist                 (default 150)
 //   --seed S       generator + stimulus seed                  (default fixed)
 //   --threads N    worker pool size, 0 = hardware_concurrency (default 0);
-//                  threads beyond one per job go to each job's EE trigger
-//                  search (results are bit-identical at any count)
+//                  at most one thread per job, each job runs serially
+//                  (results are bit-identical at any count)
 //   --vectors V    random vectors per measurement             (default 20)
 //   --threshold X  EE cost threshold (Equation 1 units)       (default 0)
 //   --method M     trigger derivation: exact | cube           (default exact)
@@ -360,7 +360,6 @@ void write_artifacts(const cli_options& o, const runner::fleet_job& job,
     const report::experiment_options& ex = o.fleet.experiment;
     pl::map_result mapped = pl::map_to_phased_logic(job.netlist, ex.map);
     ee::ee_options eo = ex.ee;
-    eo.num_threads = o.fleet.num_threads;
     eo.cancel = &g_interrupt;
     const ee::ee_stats stats = ee::apply_early_evaluation(mapped.pl, eo);
     if (mapped.pl.num_trigger_gates() != row.ee_gates) {
